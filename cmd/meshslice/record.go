@@ -25,71 +25,116 @@ import (
 // of which chip was stuck where.
 func cmdRecord(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	m := fs.Int("m", 64, "result rows M")
-	n := fs.Int("n", 64, "result cols N")
-	k := fs.Int("k", 64, "inner dimension K")
-	rows := fs.Int("rows", 4, "mesh rows")
-	cols := fs.Int("cols", 4, "mesh cols")
-	algoName := fs.String("algo", "meshslice", "algorithm: meshslice, collective, summa, cannon, or wang")
-	dataflow := fs.String("dataflow", "os", "dataflow: os, ls, or rs")
-	s := fs.Int("s", 2, "MeshSlice slice count")
-	block := fs.Int("block", 2, "MeshSlice block size")
-	pipelined := fs.Bool("pipelined", false, "run the double-buffered overlapped schedule (MeshSlice, Wang); the trace then shows comm lanes under compute spans")
-	seed := fs.Int64("seed", 1, "input seed")
-	capacity := fs.Int("cap", 0, "per-chip event-ring capacity (0 = default)")
+	var cfg recordConfig
+	fs.IntVar(&cfg.m, "m", 64, "result rows M")
+	fs.IntVar(&cfg.n, "n", 64, "result cols N")
+	fs.IntVar(&cfg.k, "k", 64, "inner dimension K")
+	fs.IntVar(&cfg.rows, "rows", 4, "mesh rows")
+	fs.IntVar(&cfg.cols, "cols", 4, "mesh cols")
+	fs.StringVar(&cfg.algo, "algo", "meshslice", "algorithm: meshslice, collective, summa, cannon, or wang")
+	fs.StringVar(&cfg.dataflow, "dataflow", "os", "dataflow: os, ls, or rs")
+	fs.IntVar(&cfg.s, "s", 2, "MeshSlice slice count")
+	fs.IntVar(&cfg.block, "block", 2, "MeshSlice block size")
+	fs.BoolVar(&cfg.pipelined, "pipelined", false, "run the double-buffered overlapped schedule (MeshSlice, Wang); the trace then shows comm lanes under compute spans")
+	fs.Int64Var(&cfg.seed, "seed", 1, "input seed")
+	fs.IntVar(&cfg.capacity, "cap", 0, "per-chip event-ring capacity (0 = default)")
 	out := fs.String("o", "", "write canonical recorder JSON here")
 	chrome := fs.String("chrome", "", "write Perfetto/Chrome trace here")
-	drop := fs.String("drop", "", "inject a lost message: from:to:nth (repeatable, comma-separated)")
-	failChip := fs.String("fail", "", "inject a chip fail-stop: chip:afterSends")
+	fs.StringVar(&cfg.drop, "drop", "", "inject a lost message: from:to:nth (repeatable, comma-separated)")
+	fs.StringVar(&cfg.fail, "fail", "", "inject a chip fail-stop: chip:afterSends")
 	fs.Parse(args)
 
-	df, ok := dataflowByName(*dataflow)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown dataflow %q\n", *dataflow)
-		os.Exit(2)
-	}
-	alg, ok := gemm.AlgorithmByName(*algoName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algoName)
-		os.Exit(2)
-	}
-	if !alg.Supports(df) {
-		fmt.Fprintf(os.Stderr, "%s does not implement the %v dataflow\n", alg.Name, df)
-		os.Exit(2)
-	}
-	p := gemm.Problem{M: *m, N: *n, K: *k, Dataflow: df}
-	tor := topology.NewTorus(*rows, *cols)
-	opts := gemm.AlgOptions{S: *s, Block: *block, Pipelined: *pipelined}
-	if err := alg.Validate(p, tor, opts); err != nil {
+	res, err := runRecord(cfg)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if res.runErr != nil {
+		fmt.Fprintf(os.Stderr, "run died: %v\n", res.runErr)
+		switch e := res.runErr.(type) {
+		case *mesh.RecvStallError:
+			fmt.Fprint(os.Stderr, e.Dump)
+		case *mesh.ChipFailedError:
+			fmt.Fprint(os.Stderr, e.Dump)
+		}
+		writeExports(res.rec, *out, *chrome, res.alg, res.df)
+		os.Exit(1)
+	}
+	fmt.Println(res.summary)
+	writeExports(res.rec, *out, *chrome, res.alg, res.df)
+	if !res.ok {
+		os.Exit(1)
+	}
+}
 
-	mh := mesh.New(tor)
-	rec := recorder.New(tor.Size(), *capacity)
-	mh.SetRecorder(rec)
+// recordConfig is one `meshslice record` invocation, minus its outputs.
+type recordConfig struct {
+	m, n, k, rows, cols int
+	algo, dataflow      string
+	s, block            int
+	pipelined           bool
+	seed                int64
+	capacity            int
+	drop, fail          string
+}
+
+// recordResult is what a record run left behind.
+type recordResult struct {
+	alg string
+	df  gemm.Dataflow
+	rec *recorder.Recorder
+	// runErr is the typed error of a run that died (a stall or a chip
+	// failure); the remaining fields are set only when it is nil.
+	runErr  error
+	ok      bool // result within 1e-9 of the reference
+	summary string
+}
+
+// runRecord validates cfg and runs its GeMM on a recorded mesh. It returns
+// an error for an invalid invocation; a run that dies reports through
+// recordResult.runErr instead.
+func runRecord(cfg recordConfig) (*recordResult, error) {
+	df, ok := dataflowByName(cfg.dataflow)
+	if !ok {
+		return nil, fmt.Errorf("unknown dataflow %q", cfg.dataflow)
+	}
+	alg, ok := gemm.AlgorithmByName(cfg.algo)
+	if !ok {
+		return nil, fmt.Errorf("unknown algorithm %q", cfg.algo)
+	}
+	if !alg.Supports(df) {
+		return nil, fmt.Errorf("%s does not implement the %v dataflow", alg.Name, df)
+	}
+	p := gemm.Problem{M: cfg.m, N: cfg.n, K: cfg.k, Dataflow: df}
+	tor := topology.NewTorus(cfg.rows, cfg.cols)
+	opts := gemm.AlgOptions{S: cfg.s, Block: cfg.block, Pipelined: cfg.pipelined}
+	if err := alg.Validate(p, tor, opts); err != nil {
+		return nil, err
+	}
+
 	var faults fault.MeshFaults
-	for _, spec := range splitNonEmpty(*drop) {
+	for _, spec := range splitNonEmpty(cfg.drop) {
 		from, to, nth, err := parseTriple(spec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -drop %q: %v\n", spec, err)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad -drop %q: %v", spec, err)
 		}
 		faults.Drops = append(faults.Drops, fault.EdgeDrop{From: from, To: to, Nth: nth})
 	}
-	if *failChip != "" {
-		chip, after, err := parsePair(*failChip)
+	if cfg.fail != "" {
+		chip, after, err := parsePair(cfg.fail)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -fail %q: %v\n", *failChip, err)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad -fail %q: %v", cfg.fail, err)
 		}
 		faults.ChipFails = append(faults.ChipFails, fault.MeshChipFail{Chip: chip, AfterSends: after})
 	}
+	mh := mesh.New(tor)
+	res := &recordResult{alg: alg.Name, df: df, rec: recorder.New(tor.Size(), cfg.capacity)}
+	mh.SetRecorder(res.rec)
 	if !faults.Empty() {
 		mh.SetFaults(faults)
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(cfg.seed))
 	aR, aC, bR, bC := p.OperandShapes()
 	a := tensor.Random(aR, aC, rng)
 	b := tensor.Random(bR, bC, rng)
@@ -99,42 +144,31 @@ func cmdRecord(args []string) {
 
 	shards := make([]*tensor.Matrix, tor.Size())
 	var mu sync.Mutex
-	err := mh.RunE(func(c *mesh.Chip) {
-		res := fn(c, as[c.Rank], bs[c.Rank])
+	res.runErr = mh.RunE(func(c *mesh.Chip) {
+		out := fn(c, as[c.Rank], bs[c.Rank])
 		mu.Lock()
-		shards[c.Rank] = res
+		shards[c.Rank] = out
 		mu.Unlock()
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "run died: %v\n", err)
-		switch e := err.(type) {
-		case *mesh.RecvStallError:
-			fmt.Fprint(os.Stderr, e.Dump)
-		case *mesh.ChipFailedError:
-			fmt.Fprint(os.Stderr, e.Dump)
-		}
-		writeExports(rec, *out, *chrome, alg.Name, df)
-		os.Exit(1)
+	if res.runErr != nil {
+		return res, nil
 	}
 
 	got := tensor.Assemble(shards, tor.Rows, tor.Cols)
 	diff := got.MaxAbsDiff(p.Reference(a, b))
+	res.ok = diff <= 1e-9
 	status := "ok"
-	if diff > 1e-9 {
+	if !res.ok {
 		status = "FAILED"
 	}
-	snap := rec.Snapshot()
 	events := uint64(0)
-	for _, l := range snap.Logs {
+	for _, l := range res.rec.Snapshot().Logs {
 		events += l.Recorded
 	}
-	ov := rec.Overlap()
-	fmt.Printf("%s %v on %v: %s (max |Δ| %.2e), %d events across %d chips, overlap %d/%d async ops (%.2f)\n",
+	ov := res.rec.Overlap()
+	res.summary = fmt.Sprintf("%s %v on %v: %s (max |Δ| %.2e), %d events across %d chips, overlap %d/%d async ops (%.2f)",
 		alg.Name, df, tor, status, diff, events, tor.Size(), ov.Overlapped, ov.AsyncOps, ov.Fraction)
-	writeExports(rec, *out, *chrome, alg.Name, df)
-	if status != "ok" {
-		os.Exit(1)
-	}
+	return res, nil
 }
 
 // writeExports writes the canonical JSON and/or Perfetto trace.

@@ -31,12 +31,15 @@ func main() {
 		fn   gemm.ChipFunc
 	}{
 		{"MeshSlice", gemm.MeshSlice(gemm.OS, gemm.MeshSliceConfig{S: 4, Block: 2})},
+		{"MeshSlice+", gemm.MeshSlice(gemm.OS, gemm.MeshSliceConfig{S: 4, Block: 2, Pipelined: true})},
+		// Collective 2D GeMM is MeshSlice with a single slice.
 		{"Collective", gemm.Collective2D(gemm.OS)},
 		{"SUMMA", gemm.SUMMA(gemm.OS, gemm.SUMMAConfig{})},
 		{"Cannon", gemm.Cannon()},
-		{"Wang", gemm.Wang()},
+		{"Wang", gemm.Wang(gemm.OS, false)},
+		{"Wang+", gemm.Wang(gemm.OS, true)},
 	}
-	fmt.Printf("functional check on %v (C = A·B, 64×64×64):\n", tor)
+	fmt.Printf("functional check on %v (C = A·B, 64×64×64; + = double-buffered):\n", tor)
 	for _, f := range funcs {
 		got := gemm.Multiply(tor, f.fn, a, b)
 		fmt.Printf("  %-10s max |Δ| = %.2e\n", f.name, got.MaxAbsDiff(want))

@@ -52,12 +52,8 @@ func AllGatherBidir(cm *mesh.Comm, local *tensor.Matrix) []*tensor.Matrix {
 // ring position.
 func ReduceScatterBidir(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
 	if err := checkBlocks("reducescatter-bidir", blocks, cm.Size); err != nil {
-		panic(err) // lint:invariant block-count precondition; ReduceScatterBidirE returns it as a value
+		panic(err) // lint:invariant block-count precondition; the panic value is a typed *RingSizeError
 	}
-	return reduceScatterBidir(cm, blocks)
-}
-
-func reduceScatterBidir(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
 	cm.CountCollective("reducescatter-bidir")
 	cm.SpanStart(recorder.OpReduceScatterBidir, -1)
 	defer cm.SpanEnd(recorder.OpReduceScatterBidir)
@@ -93,16 +89,4 @@ func reduceScatterBidir(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
 		cw.Add(ccw)
 	}
 	return cw
-}
-
-// AllGatherRowsBidir gathers with both ring directions and concatenates
-// vertically in ring order.
-func AllGatherRowsBidir(cm *mesh.Comm, local *tensor.Matrix) *tensor.Matrix {
-	return tensor.ConcatRows(AllGatherBidir(cm, local))
-}
-
-// ReduceScatterColsBidir reduces a matrix split into vertical strips using
-// both ring directions.
-func ReduceScatterColsBidir(cm *mesh.Comm, m *tensor.Matrix) *tensor.Matrix {
-	return ReduceScatterBidir(cm, tensor.SplitCols(m, cm.Size))
 }

@@ -64,7 +64,7 @@ func TestBidirEquivalenceProperty(t *testing.T) {
 		var mu sync.Mutex
 		runRow(p, func(c *mesh.Chip, cm *mesh.Comm) {
 			uni := AllGatherRows(cm, strips[cm.Pos])
-			bi := AllGatherRowsBidir(cm, strips[cm.Pos])
+			bi := tensor.ConcatRows(AllGatherBidir(cm, strips[cm.Pos]))
 			rsUni := ReduceScatterRows(cm, global)
 			rsBi := ReduceScatterBidir(cm, tensor.SplitRows(global, p))
 			if !bi.Equal(uni, 1e-12) || !rsBi.Equal(rsUni, 1e-9) {
@@ -144,7 +144,7 @@ func TestReduceScatterColsBidir(t *testing.T) {
 	}
 	want := tensor.SplitCols(total, p)
 	runRow(p, func(c *mesh.Chip, cm *mesh.Comm) {
-		got := ReduceScatterColsBidir(cm, contribs[cm.Pos])
+		got := ReduceScatterBidir(cm, tensor.SplitCols(contribs[cm.Pos], p))
 		if !got.Equal(want[cm.Pos], 1e-9) {
 			t.Errorf("pos %d mismatch", cm.Pos)
 		}

@@ -69,15 +69,11 @@ func AllGatherCols(cm *mesh.Comm, local *tensor.Matrix) *tensor.Matrix {
 // the ring, arriving fully reduced at chip d after P-1 steps.
 func ReduceScatter(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
 	if err := checkBlocks("reducescatter", blocks, cm.Size); err != nil {
-		panic(err) // lint:invariant block-count precondition; ReduceScatterE returns it as a value
+		panic(err) // lint:invariant block-count precondition; the panic value is a typed *RingSizeError
 	}
-	return reduceScatter(cm, blocks)
-}
-
-func reduceScatter(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
 	mine := blocks[cm.Pos]
 	dst := tensor.New(mine.Rows, mine.Cols)
-	reduceScatterInto(cm, blocks, dst)
+	ReduceScatterInto(cm, blocks, dst)
 	return dst
 }
 
@@ -87,7 +83,7 @@ func reduceScatter(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
 // size.
 func ReduceScatterRows(cm *mesh.Comm, m *tensor.Matrix) *tensor.Matrix {
 	if m.Rows%cm.Size != 0 {
-		panic(fmt.Sprintf("tensor: SplitRows %dx%d into %d", m.Rows, m.Cols, cm.Size)) // lint:invariant shape precondition
+		panic(fmt.Sprintf("collective: ReduceScatterRows %dx%d: rows do not split over ring of %d", m.Rows, m.Cols, cm.Size)) // lint:invariant shape precondition
 	}
 	dst := tensor.New(m.Rows/cm.Size, m.Cols)
 	ReduceScatterRowsInto(cm, m, dst)
@@ -98,7 +94,7 @@ func ReduceScatterRows(cm *mesh.Comm, m *tensor.Matrix) *tensor.Matrix {
 // receives the reduced column strip for its ring position.
 func ReduceScatterCols(cm *mesh.Comm, m *tensor.Matrix) *tensor.Matrix {
 	if m.Cols%cm.Size != 0 {
-		panic(fmt.Sprintf("tensor: SplitCols %dx%d into %d", m.Rows, m.Cols, cm.Size)) // lint:invariant shape precondition
+		panic(fmt.Sprintf("collective: ReduceScatterCols %dx%d: cols do not split over ring of %d", m.Rows, m.Cols, cm.Size)) // lint:invariant shape precondition
 	}
 	dst := tensor.New(m.Rows, m.Cols/cm.Size)
 	ReduceScatterColsInto(cm, m, dst)
@@ -112,33 +108,11 @@ func ReduceScatterCols(cm *mesh.Comm, m *tensor.Matrix) *tensor.Matrix {
 //
 // Ownership is symmetric on every rank: the returned matrix is freshly
 // allocated, owned by the caller, and never aliases m or any internal ring
-// buffer. (Root used to get a clone while non-roots got the received
-// buffer; with pooled ring buffers that asymmetry would leak a recycled
-// buffer to the caller.)
+// buffer. It is BroadcastInto with the destination allocated on delivery,
+// so it runs the same ring loop, including the root's mesh.MaxStreamStarts
+// guard.
 func Broadcast(cm *mesh.Comm, root int, m *tensor.Matrix) *tensor.Matrix {
-	cm.CountCollective("broadcast")
-	cm.SpanStart(recorder.OpBroadcast, -1)
-	defer cm.SpanEnd(recorder.OpBroadcast)
-	p := cm.Size
-	root = mod(root, p)
-	if p == 1 {
-		return m.Clone()
-	}
-	dist := mod(cm.Pos-root, p) // hops from root to this chip
-	if dist == 0 {
-		cur := cm.AcquireBuf(m.Rows, m.Cols)
-		cur.CopyFrom(m)
-		cm.SendOwnedTo(cm.Pos+1, cur)
-		return m.Clone()
-	}
-	cur := cm.RecvFrom(cm.Pos - 1)
-	out := cur.Clone()
-	if dist < p-1 {
-		cm.SendOwnedTo(cm.Pos+1, cur)
-	} else {
-		cm.ReleaseBuf(cur)
-	}
-	return out
+	return broadcast(cm, root, m, nil)
 }
 
 // Reduce accumulates every ring member's matrix into the root and returns
@@ -160,12 +134,8 @@ func Reduce(cm *mesh.Comm, root int, m *tensor.Matrix) *tensor.Matrix {
 // Blocks may have heterogeneous shapes (real MoE routing is uneven).
 func AllToAll(cm *mesh.Comm, blocks []*tensor.Matrix) []*tensor.Matrix {
 	if err := checkBlocks("alltoall", blocks, cm.Size); err != nil {
-		panic(err) // lint:invariant block-count precondition; AllToAllE returns it as a value
+		panic(err) // lint:invariant block-count precondition; the panic value is a typed *RingSizeError
 	}
-	return allToAll(cm, blocks)
-}
-
-func allToAll(cm *mesh.Comm, blocks []*tensor.Matrix) []*tensor.Matrix {
 	cm.CountCollective("alltoall")
 	cm.SpanStart(recorder.OpAllToAll, -1)
 	defer cm.SpanEnd(recorder.OpAllToAll)

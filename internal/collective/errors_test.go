@@ -15,102 +15,35 @@ func unit(v float64) *tensor.Matrix {
 	return m
 }
 
-// runOnRing executes fn on every chip of a 1x4 torus and returns chip 0's
-// result.
-func runOnRing(t *testing.T, fn func(cm *mesh.Comm) (any, error)) (any, error) {
-	t.Helper()
-	var out any
-	var outErr error
-	mesh.New(topology.NewTorus(1, 4)).Run(func(c *mesh.Chip) {
-		v, err := fn(c.RowComm())
-		if c.Rank == 0 {
-			out, outErr = v, err
-		}
-	})
-	return out, outErr
-}
-
+// TestRingSizeErrorValue: a wrong block count panics with a typed
+// *RingSizeError naming the collective, before any communication, so every
+// chip fails uniformly and nothing deadlocks.
 func TestRingSizeErrorValue(t *testing.T) {
-	// Wrong block count returns the typed error before any communication,
-	// so every chip errors uniformly and nothing deadlocks.
-	_, err := runOnRing(t, func(cm *mesh.Comm) (any, error) {
-		return ReduceScatterE(cm, []*tensor.Matrix{unit(1), unit(2)}) // ring of 4
-	})
-	var rse *RingSizeError
-	if !errors.As(err, &rse) {
-		t.Fatalf("got %T (%v), want *RingSizeError", err, err)
-	}
-	if rse.Op != "reducescatter" || rse.Blocks != 2 || rse.Ring != 4 {
-		t.Errorf("diagnosis %+v", rse)
-	}
-}
-
-func TestAllToAllEWrongBlocks(t *testing.T) {
-	_, err := runOnRing(t, func(cm *mesh.Comm) (any, error) {
-		return AllToAllE(cm, []*tensor.Matrix{unit(1)})
-	})
-	var rse *RingSizeError
-	if !errors.As(err, &rse) {
-		t.Fatalf("got %T (%v), want *RingSizeError", err, err)
-	}
-	if rse.Op != "alltoall" {
-		t.Errorf("op = %q", rse.Op)
-	}
-}
-
-func TestReduceScatterBidirEWrongBlocks(t *testing.T) {
-	_, err := runOnRing(t, func(cm *mesh.Comm) (any, error) {
-		return ReduceScatterBidirE(cm, nil)
-	})
-	var rse *RingSizeError
-	if !errors.As(err, &rse) {
-		t.Fatalf("got %T (%v), want *RingSizeError", err, err)
-	}
-}
-
-func TestMemberErrorValue(t *testing.T) {
-	_, err := runOnRing(t, func(cm *mesh.Comm) (any, error) {
-		return BroadcastE(cm, 7, unit(1))
-	})
-	var me *MemberError
-	if !errors.As(err, &me) {
-		t.Fatalf("got %T (%v), want *MemberError", err, err)
-	}
-	if me.Op != "broadcast" || me.Member != 7 || me.Ring != 4 {
-		t.Errorf("diagnosis %+v", me)
-	}
-	if _, err := runOnRing(t, func(cm *mesh.Comm) (any, error) {
-		return ReduceE(cm, -1, unit(1))
-	}); !errors.As(err, &me) {
-		t.Fatalf("reduce: got %T (%v), want *MemberError", err, err)
-	}
-}
-
-func TestErrorVariantsMatchPanicVariants(t *testing.T) {
-	// With valid arguments the E variants compute the same results as the
-	// established panic variants.
-	got, err := runOnRing(t, func(cm *mesh.Comm) (any, error) {
-		blocks := make([]*tensor.Matrix, cm.Size)
-		for i := range blocks {
-			blocks[i] = unit(float64(cm.Pos*10 + i))
+	for _, tc := range []struct {
+		op  string
+		run func(cm *mesh.Comm)
+	}{
+		{"reducescatter", func(cm *mesh.Comm) { ReduceScatter(cm, []*tensor.Matrix{unit(1), unit(2)}) }},
+		{"alltoall", func(cm *mesh.Comm) { AllToAll(cm, []*tensor.Matrix{unit(1)}) }},
+		{"reducescatter-bidir", func(cm *mesh.Comm) { ReduceScatterBidir(cm, nil) }},
+	} {
+		var got any
+		mesh.New(topology.NewTorus(1, 4)).Run(func(c *mesh.Chip) {
+			defer func() {
+				if r := recover(); c.Rank == 0 {
+					got = r
+				}
+			}()
+			tc.run(c.RowComm())
+		})
+		err, _ := got.(error)
+		var rse *RingSizeError
+		if !errors.As(err, &rse) {
+			t.Fatalf("%s: panicked with %T (%v), want *RingSizeError", tc.op, got, got)
 		}
-		return ReduceScatterE(cm, blocks)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chip 0 receives sum over chips c of block 0: 0 + 10 + 20 + 30.
-	if v := got.(*tensor.Matrix).At(0, 0); v != 60 {
-		t.Errorf("ReduceScatterE result = %v, want 60", v)
-	}
-	got, err = runOnRing(t, func(cm *mesh.Comm) (any, error) {
-		return BroadcastE(cm, 2, unit(float64(cm.Pos)))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := got.(*tensor.Matrix).At(0, 0); v != 2 {
-		t.Errorf("BroadcastE result = %v, want 2", v)
+		if rse.Op != tc.op || rse.Ring != 4 {
+			t.Errorf("%s: diagnosis %+v", tc.op, rse)
+		}
 	}
 }
 

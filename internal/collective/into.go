@@ -122,12 +122,8 @@ func allGatherColsLoop(cm *mesh.Comm, local, dst *tensor.Matrix) {
 // lint:hotpath steady-state: must not allocate
 func ReduceScatterInto(cm *mesh.Comm, blocks []*tensor.Matrix, dst *tensor.Matrix) {
 	if err := checkBlocks("reducescatter", blocks, cm.Size); err != nil {
-		panic(err) // lint:invariant block-count precondition; ReduceScatterE returns it as a value
+		panic(err) // lint:invariant block-count precondition; the panic value is a typed *RingSizeError
 	}
-	reduceScatterInto(cm, blocks, dst)
-}
-
-func reduceScatterInto(cm *mesh.Comm, blocks []*tensor.Matrix, dst *tensor.Matrix) {
 	cm.CountCollective("reducescatter")
 	cm.SpanStart(recorder.OpReduceScatter, -1)
 	defer cm.SpanEnd(recorder.OpReduceScatter)
@@ -236,35 +232,47 @@ func reduceScatterColsLoop(cm *mesh.Comm, m, dst *tensor.Matrix) {
 // ReduceInto's stream starter (the chip after the root).
 // lint:hotpath steady-state: must not allocate
 func BroadcastInto(cm *mesh.Comm, root int, m, dst *tensor.Matrix) {
+	broadcast(cm, root, m, dst)
+}
+
+// broadcast is the ring loop of Broadcast and BroadcastInto: it returns dst
+// holding root's matrix, allocating a nil dst (Broadcast's) on delivery,
+// once the shape is known.
+func broadcast(cm *mesh.Comm, root int, m, dst *tensor.Matrix) *tensor.Matrix {
 	cm.CountCollective("broadcast")
 	cm.SpanStart(recorder.OpBroadcast, -1)
 	defer cm.SpanEnd(recorder.OpBroadcast)
 	p := cm.Size
-	root = mod(root, p)
-	if p == 1 {
-		if dst != m {
-			dst.CopyFrom(m)
-		}
-		return
-	}
 	dist := mod(cm.Pos-root, p) // hops from root to this chip
 	if dist == 0 {
-		cm.NoteStreamStart(m.Rows, m.Cols)
-		cur := cm.AcquireBuf(m.Rows, m.Cols)
-		cur.CopyFrom(m)
-		cm.SendOwnedTo(cm.Pos+1, cur)
-		if dst != m {
-			dst.CopyFrom(m)
+		if p > 1 {
+			cm.NoteStreamStart(m.Rows, m.Cols)
+			cur := cm.AcquireBuf(m.Rows, m.Cols)
+			cur.CopyFrom(m)
+			cm.SendOwnedTo(cm.Pos+1, cur)
 		}
-		return
+		return deliver(dst, m)
 	}
 	cur := cm.RecvFrom(cm.Pos - 1)
-	dst.CopyFrom(cur)
+	dst = deliver(dst, cur)
 	if dist < p-1 {
 		cm.SendOwnedTo(cm.Pos+1, cur)
 	} else {
 		cm.ReleaseBuf(cur)
 	}
+	return dst
+}
+
+// deliver copies src into dst and returns it; a nil dst gets a fresh copy.
+// lint:allow hotpath-alloc only Broadcast passes a nil dst; BroadcastInto's steady state never allocates here
+func deliver(dst, src *tensor.Matrix) *tensor.Matrix {
+	if dst == nil {
+		return src.Clone()
+	}
+	if dst != src {
+		dst.CopyFrom(src)
+	}
+	return dst
 }
 
 // ReduceInto accumulates every ring member's matrix into the root's dst and

@@ -2,7 +2,7 @@
 // studies, running on the functional mesh runtime with real data:
 //
 //   - MeshSlice (the paper's contribution, §3.1) in all three dataflows,
-//   - Collective 2D GeMM (Fig. 2b) in all three dataflows,
+//   - Collective 2D GeMM (Fig. 2b): MeshSlice with a single slice,
 //   - SUMMA (Fig. 2a) in all three dataflows,
 //   - Cannon's algorithm (square meshes),
 //   - Wang's algorithm (one overlapped direction),
@@ -85,15 +85,37 @@ func (p Problem) OperandShapes() (aRows, aCols, bRows, bCols int) {
 // multiplication; the ground truth all distributed algorithms are verified
 // against.
 func (p Problem) Reference(a, b *tensor.Matrix) *tensor.Matrix {
-	switch p.Dataflow {
+	c := tensor.New(p.Dataflow.productShape(a, b))
+	p.Dataflow.accumulate(c, a, b)
+	return c
+}
+
+// productShape is the shape of the dataflow's local product of a and b.
+func (d Dataflow) productShape(a, b *tensor.Matrix) (rows, cols int) {
+	switch d {
 	case OS:
-		return tensor.MatMul(a, b)
+		return a.Rows, b.Cols
 	case LS:
-		return tensor.MatMulNT(a, b)
+		return a.Rows, b.Rows
 	case RS:
-		return tensor.MatMulTN(a, b)
+		return a.Cols, b.Cols
 	default:
-		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive switch guard
+		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(d))) // lint:invariant exhaustive switch guard
+	}
+}
+
+// accumulate is the dataflow's local kernel: c += a·b (OS), a·bᵀ (LS) or
+// aᵀ·b (RS).
+func (d Dataflow) accumulate(c, a, b *tensor.Matrix) {
+	switch d {
+	case OS:
+		tensor.MatMulAdd(c, a, b)
+	case LS:
+		tensor.MatMulAddNT(c, a, b)
+	case RS:
+		tensor.MatMulAddTN(c, a, b)
+	default:
+		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(d))) // lint:invariant exhaustive switch guard
 	}
 }
 

@@ -130,15 +130,22 @@ func TestMeshSliceStridedSlicing(t *testing.T) {
 
 func TestMeshSliceS1EqualsCollective(t *testing.T) {
 	// With S=1, MeshSlice degenerates to Collective 2D GeMM (the paper
-	// notes MeshSlice "can fall back to Collective by setting S=1").
+	// notes MeshSlice "can fall back to Collective by setting S=1");
+	// Collective2D is defined that way, so both schedules of the one-slice
+	// loop must reproduce it bit for bit.
 	tor := topology.NewTorus(2, 2)
 	for _, df := range []Dataflow{OS, LS, RS} {
 		p := Problem{M: 16, N: 16, K: 16, Dataflow: df}
-		a, b, _ := makeProblem(p, 99)
-		ms := Multiply(tor, MeshSlice(df, MeshSliceConfig{S: 1, Block: 1}), a, b)
+		a, b, want := makeProblem(p, 99)
 		col := Multiply(tor, Collective2D(df), a, b)
-		if !ms.Equal(col, tol) {
-			t.Errorf("%v: MeshSlice(S=1) != Collective, max diff %g", df, ms.MaxAbsDiff(col))
+		if !col.Equal(want, tol) {
+			t.Errorf("%v: Collective wrong by %g", df, col.MaxAbsDiff(want))
+		}
+		for _, pipelined := range []bool{false, true} {
+			ms := Multiply(tor, MeshSlice(df, MeshSliceConfig{S: 1, Block: 1, Pipelined: pipelined}), a, b)
+			if !ms.BitEqual(col) {
+				t.Errorf("%v pipelined=%v: MeshSlice(S=1) != Collective, max diff %g", df, pipelined, ms.MaxAbsDiff(col))
+			}
 		}
 	}
 }
@@ -259,7 +266,7 @@ func TestWangVariousMeshes(t *testing.T) {
 		topology.NewTorus(2, 2), topology.NewTorus(2, 4), topology.NewTorus(4, 2), topology.NewTorus(1, 3),
 	} {
 		p := Problem{M: 24, N: 24, K: 24, Dataflow: OS}
-		checkAlgorithm(t, "Wang", p, tor, Wang())
+		checkAlgorithm(t, "Wang", p, tor, Wang(OS, false))
 	}
 }
 
@@ -288,7 +295,7 @@ func TestAllOSAlgorithmsAgree(t *testing.T) {
 		"Collective": Collective2D(OS),
 		"SUMMA":      SUMMA(OS, SUMMAConfig{}),
 		"Cannon":     Cannon(),
-		"Wang":       Wang(),
+		"Wang":       Wang(OS, false),
 	}
 	for name, fn := range algos {
 		got := Multiply(tor, fn, a, b)
@@ -381,7 +388,7 @@ func TestWangDataflowLSRS(t *testing.T) {
 			if err := WangValidate(p, tor); err != nil {
 				t.Fatalf("WangValidate(%v,%v): %v", df, tor, err)
 			}
-			checkAlgorithm(t, "WangDataflow", p, tor, WangDataflow(df))
+			checkAlgorithm(t, "Wang", p, tor, Wang(df, false))
 		}
 	}
 }
@@ -464,27 +471,9 @@ func TestWang25DAgreeOnSquare(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	a := tensor.Random(16, 16, rng)
 	b := tensor.Random(16, 16, rng)
-	wang := Multiply(topology.NewTorus(4, 4), Wang(), a, b)
+	wang := Multiply(topology.NewTorus(4, 4), Wang(OS, false), a, b)
 	g25 := TwoPointFiveD(Grid3D{P: 4, C: 2}, a, b)
 	if !wang.Equal(g25, 1e-9) {
 		t.Errorf("Wang and 2.5D disagree: %g", wang.MaxAbsDiff(g25))
-	}
-}
-
-func TestMeshSliceBidirEqualsMeshSlice(t *testing.T) {
-	for _, tor := range []topology.Torus{
-		topology.NewTorus(2, 2), topology.NewTorus(3, 4), topology.NewTorus(4, 2),
-	} {
-		p := Problem{M: 48, N: 48, K: 48, Dataflow: OS}
-		a, b, want := makeProblem(p, 777)
-		cfg := MeshSliceConfig{S: 2, Block: 2}
-		uni := Multiply(tor, MeshSlice(OS, cfg), a, b)
-		bi := Multiply(tor, MeshSliceBidir(cfg), a, b)
-		if !bi.Equal(want, tol) {
-			t.Errorf("%v: bidirectional MeshSlice wrong by %g", tor, bi.MaxAbsDiff(want))
-		}
-		if !bi.Equal(uni, tol) {
-			t.Errorf("%v: bidirectional diverges from unidirectional by %g", tor, bi.MaxAbsDiff(uni))
-		}
 	}
 }

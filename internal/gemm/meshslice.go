@@ -12,11 +12,14 @@ import (
 
 // This file implements the MeshSlice 2D GeMM algorithm (paper §3.1,
 // Fig. 5): the collective AG/RdS operations are partitioned into S partial
-// collectives over sliced sub-shards, so that (on real hardware) the
-// communication of one iteration overlaps the computation of another. The
-// functional implementation here establishes that the sliced computation is
-// exactly the full GeMM; the overlap itself is a timing property modelled
-// by package netsim.
+// collectives over sliced sub-shards, so that the communication of one
+// slice overlaps the computation of another.
+//
+// One loop runs every dataflow. A dataflow is data (flow): which inputs are
+// sliced and all-gathered each step, and whether the partial product is
+// reduce-scattered and unsliced into the output. Collective 2D GeMM is the
+// same loop with S=1, and the serial and double-buffered schedules are its
+// lookahead 0 and lookahead 1 (schedule).
 //
 // Following the paper's subscript convention (Fig. 2 caption): AG_col and
 // RdS_col are inter-column communications within the same mesh row (the
@@ -26,17 +29,194 @@ import (
 // MeshSliceConfig parameterises the MeshSlice algorithm.
 type MeshSliceConfig struct {
 	// S is the slice count: how many partial collectives each collective
-	// is partitioned into. S=1 degenerates to Collective 2D GeMM.
+	// is partitioned into. S=1 is Collective 2D GeMM.
 	S int
 	// Block is the architecture block size B of the blocked slicing
 	// algorithm (paper Algorithm 2); 8 on TPUs. Use 1 for the strided
 	// slicing of the mathematical description (§3.1.1).
 	Block int
-	// Pipelined selects the double-buffered software-pipelined schedule
-	// (pipeline.go): partial collectives run on background comm lanes
-	// underneath the MatMuls. Results are bit-identical to the serial
-	// schedule, which remains the reference.
+	// Pipelined selects lookahead 1, the double-buffered schedule: the
+	// partial collectives run on background comm lanes underneath the
+	// MatMuls. Results are bit-identical to the serial schedule
+	// (lookahead 0).
 	Pipelined bool
+}
+
+// axis is how one matrix of a dataflow moves. A matrix moving alongCols is
+// sliced, gathered or reduce-scattered along its column dimension, which is
+// split across mesh columns, so its traffic runs on the row ring (AG_col,
+// RdS_col); alongRows is the transpose, on the column ring. A stationary
+// matrix never moves.
+type axis uint8
+
+const (
+	stationary axis = iota
+	alongRows
+	alongCols
+)
+
+// flow describes a dataflow as the movement of its inputs A, B and output
+// C; the local kernel is the dataflow's product (Dataflow.accumulate).
+type flow struct{ a, b, c axis }
+
+var flows = [...]flow{
+	OS: {a: alongCols, b: alongRows}, // C += AG_col(A)·AG_row(B)
+	LS: {b: alongRows, c: alongCols}, // C = RdS_col(A·AG_row(B)ᵀ)
+	RS: {a: alongCols, c: alongRows}, // C = RdS_row(AG_col(A)ᵀ·B)
+}
+
+func flowOf(df Dataflow) flow {
+	if df < OS || df > RS {
+		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(df))) // lint:invariant exhaustive dataflow guard
+	}
+	return flows[df]
+}
+
+// comm returns the ring a matrix moving along ax travels on.
+func (ax axis) comm(c *mesh.Chip) *mesh.Comm {
+	if ax == alongRows {
+		return c.ColComm()
+	}
+	return c.RowComm()
+}
+
+// scale returns rows×cols with the dimension along ax multiplied by num/den.
+func (ax axis) scale(rows, cols, num, den int) (int, int) {
+	if ax == alongRows {
+		return rows * num / den, cols
+	}
+	return rows, cols * num / den
+}
+
+// slice returns sub-shard s of x along ax (paper Algorithm 2); with one
+// slice that is x itself.
+func (ax axis) slice(x *tensor.Matrix, S, s, B int) *tensor.Matrix {
+	switch {
+	case S == 1:
+		return x
+	case ax == alongRows:
+		return tensor.SliceRow(x, S, s, B)
+	default:
+		return tensor.SliceCol(x, S, s, B)
+	}
+}
+
+// unslice writes sub-shard s back into its positions in x along ax.
+func (ax axis) unslice(x, sub *tensor.Matrix, S, s, B int) {
+	if ax == alongRows {
+		tensor.UnsliceRowInto(x, sub, S, s, B)
+	} else {
+		tensor.UnsliceColInto(x, sub, S, s, B)
+	}
+}
+
+// panel returns panel i of x's p equal panels along ax.
+func (ax axis) panel(x *tensor.Matrix, i, p int) *tensor.Matrix {
+	r, c := ax.scale(x.Rows, x.Cols, 1, p)
+	if ax == alongRows {
+		return x.SubMatrix(i*r, 0, r, c)
+	}
+	return x.SubMatrix(0, i*c, r, c)
+}
+
+// setPanel writes blk into x as panel i along ax.
+func (ax axis) setPanel(x, blk *tensor.Matrix, i int) {
+	if ax == alongRows {
+		x.SetSubMatrix(i*blk.Rows, 0, blk)
+	} else {
+		x.SetSubMatrix(0, i*blk.Cols, blk)
+	}
+}
+
+// schedule is how far a loop's collectives run ahead of its MatMuls.
+//
+// Lookahead 0 is the serial schedule: every collective runs synchronously on
+// the chip goroutine through its *Into form, in step order, and one
+// OpGemmStep span brackets each whole step; the recorder sees no async ops.
+//
+// Lookahead 1 is the double-buffered schedule: step s+1's inputs move on
+// the background comm lanes (Start*Into) underneath step s's MatMul, and
+// step s's reduce-scatter drains underneath step s+1's. OpCompute spans
+// bracket each MatMul, so the recorder can attribute overlap: an async op
+// whose issue→wait window contains a compute span start ran underneath
+// compute.
+//
+// Both run bit-identical numerics: every MatMul runs on the chip goroutine
+// in ascending step order into the same accumulator, and the async
+// collectives execute the exact ring loops of the synchronous forms. Only
+// when the messages move differs, never what they carry.
+type schedule struct{ ahead int }
+
+func scheduleOf(pipelined bool) schedule {
+	if pipelined {
+		return schedule{ahead: 1}
+	}
+	return schedule{}
+}
+
+func (sc schedule) stepStart(c *mesh.Chip, s int) {
+	if sc.ahead == 0 {
+		c.SpanStart(recorder.OpGemmStep, s)
+	}
+}
+
+func (sc schedule) stepEnd(c *mesh.Chip) {
+	if sc.ahead == 0 {
+		c.SpanEnd(recorder.OpGemmStep)
+	}
+}
+
+func (sc schedule) computeStart(c *mesh.Chip, s int) {
+	if sc.ahead > 0 {
+		c.SpanStart(recorder.OpCompute, s)
+	}
+}
+
+func (sc schedule) computeEnd(c *mesh.Chip) {
+	if sc.ahead > 0 {
+		c.SpanEnd(recorder.OpCompute)
+	}
+}
+
+// gather all-gathers src along ax into dst: on the ring's comm lane under
+// lookahead, returning the handle to wait on, else synchronously, returning
+// nil.
+func (sc schedule) gather(ax axis, cm *mesh.Comm, src, dst *tensor.Matrix) *collective.Handle {
+	async := sc.ahead > 0
+	switch {
+	case ax == alongRows && async:
+		return collective.StartAllGatherRowsInto(cm, src, dst)
+	case ax == alongRows:
+		collective.AllGatherRowsInto(cm, src, dst)
+	case async:
+		return collective.StartAllGatherColsInto(cm, src, dst)
+	default:
+		collective.AllGatherColsInto(cm, src, dst)
+	}
+	return nil
+}
+
+// reduceScatter reduce-scatters src along ax into dst, like gather.
+func (sc schedule) reduceScatter(ax axis, cm *mesh.Comm, src, dst *tensor.Matrix) *collective.Handle {
+	async := sc.ahead > 0
+	switch {
+	case ax == alongRows && async:
+		return collective.StartReduceScatterRowsInto(cm, src, dst)
+	case ax == alongRows:
+		collective.ReduceScatterRowsInto(cm, src, dst)
+	case async:
+		return collective.StartReduceScatterColsInto(cm, src, dst)
+	default:
+		collective.ReduceScatterColsInto(cm, src, dst)
+	}
+	return nil
+}
+
+// wait completes h; a nil handle is a collective that already ran.
+func wait(h *collective.Handle) {
+	if h != nil {
+		h.Wait()
+	}
 }
 
 // Validate reports whether cfg can run the given problem on the torus:
@@ -45,19 +225,25 @@ func (cfg MeshSliceConfig) Validate(p Problem, t topology.Torus) error {
 	if cfg.S <= 0 || cfg.Block <= 0 {
 		return fmt.Errorf("gemm: MeshSlice S=%d Block=%d must be positive", cfg.S, cfg.Block)
 	}
-	sb := cfg.S * cfg.Block
-	var dims [2]int
-	switch p.Dataflow {
-	case OS:
-		dims = [2]int{p.K / t.Cols, p.K / t.Rows} // sliced: A's K (local), B's K (local)
-	case LS:
-		dims = [2]int{p.N / t.Rows, p.N / t.Cols} // sliced: B's N (local), C's N (local)
-	case RS:
-		dims = [2]int{p.M / t.Cols, p.M / t.Rows} // sliced: A's M (local), C's M (local)
-	default:
+	if p.Dataflow < OS || p.Dataflow > RS {
 		return fmt.Errorf("gemm: unknown dataflow %d", int(p.Dataflow))
 	}
-	for _, d := range dims {
+	f := flows[p.Dataflow]
+	sb := cfg.S * cfg.Block
+	aR, aC, bR, bC := p.OperandShapes()
+	for _, m := range []struct {
+		ax         axis
+		rows, cols int
+	}{{f.a, aR, aC}, {f.b, bR, bC}, {f.c, p.M, p.N}} {
+		var d int
+		switch m.ax {
+		case stationary:
+			continue
+		case alongRows:
+			d = m.rows / t.Rows
+		case alongCols:
+			d = m.cols / t.Cols
+		}
 		if !divisible(d, sb) {
 			return fmt.Errorf("gemm: MeshSlice sliced dimension %d not divisible by S·B=%d on %v (%v)", d, sb, t, p.Dataflow)
 		}
@@ -68,111 +254,115 @@ func (cfg MeshSliceConfig) Validate(p Problem, t topology.Torus) error {
 // MeshSlice returns the ChipFunc for the MeshSlice algorithm in the given
 // dataflow.
 func MeshSlice(df Dataflow, cfg MeshSliceConfig) ChipFunc {
-	if cfg.Pipelined {
-		switch df {
-		case OS:
-			return meshSliceOSPipelined(cfg)
-		case LS:
-			return meshSliceLSPipelined(cfg)
-		case RS:
-			return meshSliceRSPipelined(cfg)
-		default:
-			panic(fmt.Sprintf("gemm: unknown dataflow %d", int(df))) // lint:invariant exhaustive switch guard
-		}
-	}
-	switch df {
-	case OS:
-		return meshSliceOS(cfg)
-	case LS:
-		return meshSliceLS(cfg)
-	case RS:
-		return meshSliceRS(cfg)
-	default:
-		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(df))) // lint:invariant exhaustive switch guard
+	f := flowOf(df)
+	sc := scheduleOf(cfg.Pipelined)
+	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
+		return meshSlice(c, df, f, sc, cfg.S, cfg.Block, aij, bij)
 	}
 }
 
-// meshSliceOS: for each s, slice A along its local K columns and B along
-// its local K rows, all-gather both sub-shards, and accumulate the partial
-// product (Fig. 5 left).
-func meshSliceOS(cfg MeshSliceConfig) ChipFunc {
-	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-		row, col := c.RowComm(), c.ColComm()
-		cij := tensor.New(aij.Rows, bij.Cols)
-		for s := 0; s < cfg.S; s++ {
-			c.SpanStart(recorder.OpGemmStep, s)
-			as := tensor.SliceCol(aij, cfg.S, s, cfg.Block)
-			bs := tensor.SliceRow(bij, cfg.S, s, cfg.Block)
-			aPrime := collective.AllGatherCols(row, as) // AG_col: gather along the row
-			bPrime := collective.AllGatherRows(col, bs) // AG_row: gather down the column
-			tensor.MatMulAdd(cij, aPrime, bPrime)
-			c.SpanEnd(recorder.OpGemmStep)
-		}
-		return cij
-	}
+// Collective2D returns the ChipFunc for Collective 2D GeMM (paper §2.3.4,
+// Fig. 2b): one monolithic AllGather per flowing input (and one
+// ReduceScatter for a flowing output) around a single local GeMM. It is the
+// approach used on TPU clusters via GSPMD, and it is MeshSlice with one
+// slice, as in sched.CollectiveProgram.
+func Collective2D(df Dataflow) ChipFunc {
+	return MeshSlice(df, MeshSliceConfig{S: 1, Block: 1})
 }
 
-// MeshSliceBidir is the OS MeshSlice algorithm with the partial collectives
-// running over BOTH ring directions (collective.AllGatherBidir): identical
-// data movement volume, half the synchronised steps — the variant current
-// TPU runtimes cannot drive (§5.3.1). The result is exactly MeshSlice's.
-func MeshSliceBidir(cfg MeshSliceConfig) ChipFunc {
-	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-		row, col := c.RowComm(), c.ColComm()
-		cij := tensor.New(aij.Rows, bij.Cols)
-		for s := 0; s < cfg.S; s++ {
-			c.SpanStart(recorder.OpGemmStep, s)
-			as := tensor.SliceCol(aij, cfg.S, s, cfg.Block)
-			bs := tensor.SliceRow(bij, cfg.S, s, cfg.Block)
-			aPrime := tensor.ConcatCols(collective.AllGatherBidir(row, as))
-			bPrime := collective.AllGatherRowsBidir(col, bs)
-			tensor.MatMulAdd(cij, aPrime, bPrime)
-			c.SpanEnd(recorder.OpGemmStep)
+// meshSlice is the sliced loop (paper Fig. 5) on one chip: for each slice s,
+// slice the flowing inputs and all-gather the sub-shards, multiply, and for
+// a flowing output reduce-scatter the partial product and unslice it into
+// C. Slice s+ahead's gathers are issued before slice s's MatMul, and slice
+// s's reduce-scatter is waited ahead slices later; the buffers rotate by
+// slice, so the op issued at slice s is waited before slice s+ahead+1
+// rewrites its buffer.
+func meshSlice(c *mesh.Chip, df Dataflow, f flow, sc schedule, S, B int, aij, bij *tensor.Matrix) *tensor.Matrix {
+	n := sc.ahead + 1 // live buffers per stream: the one the MatMul reads, plus one per slice in flight
+	in := [2]*tensor.Matrix{aij, bij}
+	moves := [2]axis{f.a, f.b}
+	var comms [2]*mesh.Comm
+	// gathered[i][k] is input i's gathered slice in buffer k, or the input
+	// itself when stationary.
+	var gathered [2][2]*tensor.Matrix
+	var gathering [2][2]*collective.Handle
+	for i, ax := range moves {
+		for k := 0; k < n; k++ {
+			gathered[i][k] = in[i]
 		}
-		return cij
+		if ax == stationary {
+			continue
+		}
+		comms[i] = ax.comm(c)
+		r, cols := ax.scale(in[i].Rows, in[i].Cols, comms[i].Size, S)
+		for k := 0; k < n; k++ {
+			gathered[i][k] = tensor.New(r, cols)
+		}
 	}
-}
 
-// meshSliceLS: A stays local; for each s, slice B along its local N rows,
-// all-gather down the column, compute C' = A·B'ᵀ, reduce-scatter C' along
-// the row, and write the result into the s-th column sub-shard of C
-// (Fig. 5 centre).
-func meshSliceLS(cfg MeshSliceConfig) ChipFunc {
-	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-		row, col := c.RowComm(), c.ColComm()
-		n := bij.Rows * col.Size // global N
-		cij := tensor.New(aij.Rows, n/row.Size)
-		for s := 0; s < cfg.S; s++ {
-			c.SpanStart(recorder.OpGemmStep, s)
-			bs := tensor.SliceRow(bij, cfg.S, s, cfg.Block)
-			bPrime := collective.AllGatherRows(col, bs)     // (N/S) × K/Pc
-			cPrime := tensor.MatMulNT(aij, bPrime)          // M/Pr × N/S partial
-			cs := collective.ReduceScatterCols(row, cPrime) // M/Pr × N/(S·Pc)
-			tensor.UnsliceColInto(cij, cs, cfg.S, s, cfg.Block)
-			c.SpanEnd(recorder.OpGemmStep)
+	// partial[k] receives each slice's product: C itself when the output is
+	// stationary, else the partial that is reduce-scattered into
+	// scattered[k] and unsliced into C.
+	var partial, scattered [2]*tensor.Matrix
+	var scattering [2]*collective.Handle
+	var out *mesh.Comm
+	var cij *tensor.Matrix
+	pr, pc := df.productShape(gathered[0][0], gathered[1][0])
+	if f.c == stationary {
+		cij = tensor.New(pr, pc)
+		partial = [2]*tensor.Matrix{cij, cij}
+	} else {
+		out = f.c.comm(c)
+		cij = tensor.New(f.c.scale(pr, pc, S, out.Size))
+		for k := 0; k < n; k++ {
+			partial[k] = tensor.New(pr, pc)
+			scattered[k] = tensor.New(f.c.scale(pr, pc, 1, out.Size))
 		}
-		return cij
 	}
-}
 
-// meshSliceRS: B stays local; for each s, slice A along its local M
-// columns, all-gather along the row, compute C' = A'ᵀ·B, reduce-scatter C'
-// down the column, and write the result into the s-th row sub-shard of C
-// (Fig. 5 right).
-func meshSliceRS(cfg MeshSliceConfig) ChipFunc {
-	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-		row, col := c.RowComm(), c.ColComm()
-		m := aij.Cols * row.Size // global M
-		cij := tensor.New(m/col.Size, bij.Cols)
-		for s := 0; s < cfg.S; s++ {
-			c.SpanStart(recorder.OpGemmStep, s)
-			as := tensor.SliceCol(aij, cfg.S, s, cfg.Block)
-			aPrime := collective.AllGatherCols(row, as)     // K/Pr × M/S
-			cPrime := tensor.MatMulTN(aPrime, bij)          // M/S × N/Pc partial
-			cs := collective.ReduceScatterRows(col, cPrime) // M/(S·Pr) × N/Pc
-			tensor.UnsliceRowInto(cij, cs, cfg.S, s, cfg.Block)
-			c.SpanEnd(recorder.OpGemmStep)
+	issue := func(s int) {
+		k := s % n
+		for i, ax := range moves {
+			if ax != stationary {
+				gathering[i][k] = sc.gather(ax, comms[i], ax.slice(in[i], S, s, B), gathered[i][k])
+			}
 		}
-		return cij
 	}
+	drain := func(s int) {
+		k := s % n
+		wait(scattering[k])
+		f.c.unslice(cij, scattered[k], S, s, B)
+	}
+
+	for s := 0; s < sc.ahead && s < S; s++ {
+		issue(s)
+	}
+	for s := 0; s < S; s++ {
+		k := s % n
+		sc.stepStart(c, s)
+		if s+sc.ahead < S {
+			issue(s + sc.ahead)
+		}
+		wait(gathering[0][k])
+		wait(gathering[1][k])
+		sc.computeStart(c, s)
+		if f.c != stationary {
+			partial[k].Zero()
+		}
+		df.accumulate(partial[k], gathered[0][k], gathered[1][k])
+		sc.computeEnd(c)
+		if f.c != stationary {
+			scattering[k] = sc.reduceScatter(f.c, out, partial[k], scattered[k])
+			if s >= sc.ahead {
+				drain(s - sc.ahead)
+			}
+		}
+		sc.stepEnd(c)
+	}
+	if f.c != stationary {
+		for s := max(S-sc.ahead, 0); s < S; s++ {
+			drain(s)
+		}
+	}
+	return cij
 }

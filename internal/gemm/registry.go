@@ -108,10 +108,7 @@ func Algorithms() []Algorithm {
 			Name:      "Wang",
 			Dataflows: all,
 			Build: func(df Dataflow, o AlgOptions) ChipFunc {
-				if o.Pipelined {
-					return WangPipelined(df)
-				}
-				return WangDataflow(df)
+				return Wang(df, o.Pipelined)
 			},
 			Validate: func(p Problem, t topology.Torus, o AlgOptions) error {
 				return WangValidate(p, t)

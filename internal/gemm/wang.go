@@ -5,45 +5,117 @@ import (
 
 	"meshslice/internal/collective"
 	"meshslice/internal/mesh"
-	"meshslice/internal/obs/recorder"
 	"meshslice/internal/tensor"
 	"meshslice/internal/topology"
 )
 
 // Wang returns the ChipFunc for Wang et al.'s algorithm (paper §2.3.4,
-// [34]): the collective communication in ONE direction is decomposed into
-// multiple SendRecv operations that (on real hardware) overlap with partial
-// GeMMs, while the collective in the other direction remains monolithic and
-// non-overlapped.
+// [34]) in any dataflow: the AllGather of ONE flowing input is decomposed
+// into SendRecv shifts, one partial GeMM per arriving shard, which on real
+// hardware overlap with the GeMMs. A second flowing input (B under OS) is
+// all-gathered up front in one monolithic collective, and a flowing output
+// (LS/RS) is reduce-scattered once at the end, mirroring the timing
+// schedule in package sched. Decomposing both directions would require
+// Cannon (and its square-mesh limitation), which is exactly the gap
+// MeshSlice closes.
 //
-// This implementation computes the OS product C = A·B: B is all-gathered
-// down the columns in a single collective; A circulates around each row via
-// Pc SendRecv steps, one partial product per step. Decomposing both
-// directions would require Cannon (and its square-mesh limitation), which
-// is exactly the gap MeshSlice closes.
-func Wang() ChipFunc {
+// pipelined selects lookahead 1 (see schedule): the shift of shard t+1 is
+// issued on the comm lane before the partial GeMM on shard t and waited
+// after it. At lookahead 0 the shift runs synchronously.
+func Wang(df Dataflow, pipelined bool) ChipFunc {
+	f := flowOf(df)
+	sc := scheduleOf(pipelined)
 	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-		row, col := c.RowComm(), c.ColComm()
-		// Non-overlapped direction: one monolithic AllGather of B.
-		bFull := collective.AllGatherRows(col, bij) // K × N/Pc
-
-		// Overlapped direction: A shards circulate via SendRecv.
-		pc := row.Size
-		kLocal := aij.Cols // K/Pc columns per shard
-		cij := tensor.New(aij.Rows, bij.Cols)
-		a := aij
-		for t := 0; t < pc; t++ {
-			c.SpanStart(recorder.OpGemmStep, t)
-			src := (row.Pos + t) % pc // column whose A shard we now hold
-			bPanel := bFull.SubMatrix(src*kLocal, 0, kLocal, bFull.Cols)
-			tensor.MatMulAdd(cij, a, bPanel)
-			if t < pc-1 {
-				a = row.Shift(-1, a) // pull the next shard from the right
-			}
-			c.SpanEnd(recorder.OpGemmStep)
-		}
-		return cij
+		return wang(c, df, f, sc, aij, bij)
 	}
+}
+
+// wang runs Wang's loop on one chip. The first flowing input circulates
+// around its ring: at step t the chip holds the shard that started at ring
+// position src = Pos+t, multiplies it with the matching panel of the other
+// input, and adds the product into C (stationary output) or writes it as
+// panel src of the partial output.
+func wang(c *mesh.Chip, df Dataflow, f flow, sc schedule, aij, bij *tensor.Matrix) *tensor.Matrix {
+	moves := [2]axis{f.a, f.b}
+	circ := 0
+	if f.a == stationary {
+		circ = 1
+	}
+	other := 1 - circ
+	ring := moves[circ].comm(c)
+	p := ring.Size
+
+	// x holds the kernel operands: x[circ] is the circulating shard,
+	// x[other] is taken from panels, indexed by the shard's ring position.
+	x := [2]*tensor.Matrix{aij, bij}
+	panels := make([]*tensor.Matrix, p)
+	for i := range panels {
+		panels[i] = x[other]
+	}
+	if ax := moves[other]; ax != stationary {
+		// Monolithic in both schedules: one synchronous AllGather.
+		cm := ax.comm(c)
+		full := tensor.New(ax.scale(x[other].Rows, x[other].Cols, cm.Size, 1))
+		schedule{}.gather(ax, cm, x[other], full)
+		for i := range panels {
+			panels[i] = ax.panel(full, i, p)
+		}
+	}
+	x[other] = panels[0]
+
+	// acc receives each step's product: C itself when the output is
+	// stationary, else the block written into panel src of partial.
+	acc := tensor.New(df.productShape(x[0], x[1]))
+	var partial *tensor.Matrix
+	if f.c != stationary {
+		partial = tensor.New(f.c.scale(acc.Rows, acc.Cols, p, 1))
+	}
+	var bufs [2]*tensor.Matrix
+	for i := 0; sc.ahead > 0 && i < len(bufs); i++ {
+		bufs[i] = tensor.New(x[circ].Rows, x[circ].Cols)
+	}
+	for t := 0; t < p; t++ {
+		sc.stepStart(c, t)
+		var next *tensor.Matrix
+		var h *collective.Handle
+		if t+1 < p {
+			next, h = shift(sc, ring, x[circ], bufs[t%2])
+		}
+		src := (ring.Pos + t) % p
+		x[other] = panels[src]
+		sc.computeStart(c, t)
+		if partial != nil {
+			acc.Zero()
+		}
+		df.accumulate(acc, x[0], x[1])
+		if partial != nil {
+			f.c.setPanel(partial, acc, src)
+		}
+		sc.computeEnd(c)
+		sc.stepEnd(c)
+		wait(h)
+		x[circ] = next
+	}
+	if partial == nil {
+		return acc
+	}
+	// The output's ReduceScatter is monolithic and synchronous too.
+	out := f.c.comm(c)
+	cij := tensor.New(f.c.scale(partial.Rows, partial.Cols, 1, out.Size))
+	schedule{}.reduceScatter(f.c, out, partial, cij)
+	return cij
+}
+
+// shift moves cur one hop downstream on the ring and returns the matrix
+// that receives the upstream neighbour's shard. Under lookahead that is buf,
+// filled on the comm lane once the returned handle is waited (the send
+// clones cur, so the chip keeps computing on it meanwhile); otherwise the
+// shard arrives synchronously in a fresh matrix.
+func shift(sc schedule, ring *mesh.Comm, cur, buf *tensor.Matrix) (*tensor.Matrix, *collective.Handle) {
+	if sc.ahead > 0 {
+		return buf, collective.StartShiftInto(ring, -1, cur, buf)
+	}
+	return ring.Shift(-1, cur), nil
 }
 
 // WangValidate reports whether Wang's algorithm can run the problem on the
@@ -66,64 +138,4 @@ func WangValidate(p Problem, t topology.Torus) error {
 		return fmt.Errorf("gemm: unknown dataflow %d", int(p.Dataflow))
 	}
 	return nil
-}
-
-// WangDataflow returns Wang's algorithm for any dataflow: the flowing
-// input's AllGather is decomposed into SendRecv shifts (one partial GeMM
-// per arriving shard); for LS/RS the trailing output ReduceScatter stays
-// monolithic, mirroring the timing schedule in package sched.
-func WangDataflow(df Dataflow) ChipFunc {
-	switch df {
-	case OS:
-		return Wang()
-	case LS:
-		return wangLS
-	case RS:
-		return wangRS
-	default:
-		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(df)))
-	}
-}
-
-// wangLS streams B's shards down the column: at step t the chip holds the
-// shard originating from mesh row (i+t) mod Pr and fills the matching
-// column block of the partial product; the RdS along the row runs once at
-// the end.
-func wangLS(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-	row, col := c.RowComm(), c.ColComm()
-	pr := col.Size
-	n := bij.Rows * pr
-	cPrime := tensor.New(aij.Rows, n)
-	b := bij
-	for t := 0; t < pr; t++ {
-		c.SpanStart(recorder.OpGemmStep, t)
-		src := (col.Pos + t) % pr
-		block := tensor.MatMulNT(aij, b) // M/Pr × N/Pr, partial over K/Pc
-		cPrime.SetSubMatrix(0, src*bij.Rows, block)
-		if t < pr-1 {
-			b = col.Shift(-1, b)
-		}
-		c.SpanEnd(recorder.OpGemmStep)
-	}
-	return collective.ReduceScatterCols(row, cPrime)
-}
-
-// wangRS streams A's shards along the row; the RdS down the column trails.
-func wangRS(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-	row, col := c.RowComm(), c.ColComm()
-	pc := row.Size
-	m := aij.Cols * pc
-	cPrime := tensor.New(m, bij.Cols)
-	a := aij
-	for t := 0; t < pc; t++ {
-		c.SpanStart(recorder.OpGemmStep, t)
-		src := (row.Pos + t) % pc
-		block := tensor.MatMulTN(a, bij) // M/Pc × N/Pc, partial over K/Pr
-		cPrime.SetSubMatrix(src*aij.Cols, 0, block)
-		if t < pc-1 {
-			a = row.Shift(-1, a)
-		}
-		c.SpanEnd(recorder.OpGemmStep)
-	}
-	return collective.ReduceScatterRows(col, cPrime)
 }
