@@ -87,57 +87,11 @@ func (e Estimate) Total() float64 {
 // the longest first-iteration communication, the steady state is the
 // longest of the per-iteration operations (communications in the two
 // directions run in parallel with the computation), and the epilogue is
-// the remainder of the last iteration.
+// the remainder of the last iteration. The formula itself lives in
+// MeshSliceEval, which the autotuner's slice-count sweep prepares once.
 func MeshSlice(p gemm.Problem, t topology.Torus, c hw.Chip, S int) Estimate {
-	if S <= 0 {
-		panic(fmt.Sprintf("costmodel: S=%d", S)) // lint:invariant slice-count precondition
-	}
-	fS := float64(S)
-	bpe := c.BytesPerElement
-	pr, pc := float64(t.Rows), float64(t.Cols)
-	m, n, k := float64(p.M), float64(p.N), float64(p.K)
-
-	// Per-iteration compute uses the roofline: FLOPs at effective
-	// throughput against operand streaming at HBM bandwidth. Training
-	// GeMMs are compute-bound so this matches the paper's pure-FLOPs
-	// model; inference-decode GeMMs become memory-bound (§6).
-	var comm1, comm2, compute float64 // per-iteration costs
-	var commFirst, tailAfterCompute float64
-	switch p.Dataflow {
-	case gemm.OS:
-		comm1 = RingCollective(c, t.Cols, m/pr*k/pc/fS*bpe) // AG_col A_s
-		comm2 = RingCollective(c, t.Rows, k/pr*n/pc/fS*bpe) // AG_row B_s
-		hbm := (m/pr*k/fS + k/fS*n/pc + 2*m/pr*n/pc) * bpe
-		compute = c.RooflineTime(2*m/pr*n/pc*k/fS, hbm)
-		commFirst = maxf(comm1, comm2)
-		tailAfterCompute = 0
-	case gemm.LS:
-		comm1 = RingCollective(c, t.Rows, n/pr*k/pc/fS*bpe)   // AG_row B_s
-		comm2 = RingCollective(c, t.Cols, m/pr*(n/fS)/pc*bpe) // RdS_col C_s
-		hbm := (m/pr*k/pc + (n/fS)*k/pc + 2*m/pr*(n/fS)) * bpe
-		compute = c.RooflineTime(2*m/pr*(n/fS)*k/pc, hbm)
-		commFirst = comm1
-		tailAfterCompute = comm2
-	case gemm.RS:
-		comm1 = RingCollective(c, t.Cols, k/pr*m/pc/fS*bpe)   // AG_col A_s
-		comm2 = RingCollective(c, t.Rows, (m/fS)/pr*n/pc*bpe) // RdS_row C_s
-		hbm := (k/pr*(m/fS) + k/pr*n/pc + 2*(m/fS)*n/pc) * bpe
-		compute = c.RooflineTime(2*(m/fS)*n/pc*k/pr, hbm)
-		commFirst = comm1
-		tailAfterCompute = comm2
-	default:
-		panic(fmt.Sprintf("costmodel: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive switch guard
-	}
-
-	steady := maxf(maxf(comm1, comm2), compute)
-	return Estimate{
-		Prologue:    commFirst,
-		SteadyState: steady,
-		Iterations:  S - 1,
-		Epilogue:    compute + tailAfterCompute,
-		CommTime:    fS * (comm1 + comm2),
-		ComputeTime: fS * compute,
-	}
+	e := NewMeshSliceEval(p, t, c)
+	return e.Estimate(S)
 }
 
 // Collective estimates Collective 2D GeMM: MeshSlice with S=1, where

@@ -8,13 +8,13 @@ import (
 	"meshslice/internal/topology"
 )
 
-// MeshSliceEval prepares the S-independent terms of the MeshSlice cost
-// model for one (problem, torus, chip), so a slice-count sweep — the
-// autotuner's inner loop — only pays the per-S arithmetic instead of
-// re-deriving every shard size and re-copying the chip calibration on each
-// call. Estimate(S) is bit-identical to MeshSlice(p, t, c, S): every
-// hoisted subexpression keeps the exact evaluation order of the original
-// formula, and the equivalence is pinned by TestMeshSliceEvalBitIdentical.
+// MeshSliceEval holds the MeshSlice cost model (see MeshSlice) for one
+// (problem, torus, chip) with its S-independent terms prepared, so a
+// slice-count sweep — the autotuner's inner loop — only pays the per-S
+// arithmetic instead of re-deriving every shard size and re-copying the
+// chip calibration on each call. MeshSlice is Estimate on a fresh
+// evaluator, so the model is written once; TestMeshSliceEvalBitIdentical
+// pins its numbers bit for bit.
 type MeshSliceEval struct {
 	c  hw.Chip
 	df gemm.Dataflow
@@ -30,7 +30,7 @@ type MeshSliceEval struct {
 }
 
 // NewMeshSliceEval prepares the evaluator. The per-dataflow constants are
-// the subexpressions of MeshSlice that do not involve fS.
+// the subexpressions of the model that do not involve fS.
 func NewMeshSliceEval(p gemm.Problem, t topology.Torus, c hw.Chip) MeshSliceEval {
 	e := MeshSliceEval{
 		c: c, df: p.Dataflow,
@@ -64,8 +64,13 @@ func NewMeshSliceEval(p gemm.Problem, t topology.Torus, c hw.Chip) MeshSliceEval
 	return e
 }
 
-// terms evaluates the per-iteration costs at slice count S with exactly
-// the operation order of MeshSlice.
+// terms evaluates the per-iteration costs at slice count S: per slice, the
+// two collectives (the first precedes the MatMul; the second is the other
+// gather under OS, the reduce-scatter after it under LS/RS) and the
+// compute. Compute uses the roofline, FLOPs at effective throughput against
+// operand streaming at HBM bandwidth: training GeMMs are compute-bound, so
+// this matches the paper's pure-FLOPs model, while inference-decode GeMMs
+// become memory-bound (§6).
 func (e *MeshSliceEval) terms(S int) (comm1, comm2, compute, commFirst, tailAfterCompute float64) {
 	if S <= 0 {
 		panic(fmt.Sprintf("costmodel: S=%d", S)) // lint:invariant slice-count precondition
@@ -99,8 +104,7 @@ func (e *MeshSliceEval) terms(S int) (comm1, comm2, compute, commFirst, tailAfte
 	return comm1, comm2, compute, commFirst, tailAfterCompute
 }
 
-// Estimate evaluates the prepared model at slice count S, bit-identical to
-// MeshSlice(p, t, c, S).
+// Estimate evaluates the prepared model at slice count S.
 func (e *MeshSliceEval) Estimate(S int) Estimate {
 	comm1, comm2, compute, commFirst, tailAfterCompute := e.terms(S)
 	fS := float64(S)

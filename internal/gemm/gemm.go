@@ -90,17 +90,38 @@ func (p Problem) Reference(a, b *tensor.Matrix) *tensor.Matrix {
 	return c
 }
 
-// productShape is the shape of the dataflow's local product of a and b.
-func (d Dataflow) productShape(a, b *tensor.Matrix) (rows, cols int) {
+// dims returns the dataflow's local product of an aR×aC and a bR×bC
+// operand as an m×n result with inner dimension k.
+func (d Dataflow) dims(aR, aC, bR, bC int) (m, n, k int) {
 	switch d {
 	case OS:
-		return a.Rows, b.Cols
+		return aR, bC, aC
 	case LS:
-		return a.Rows, b.Rows
+		return aR, bR, aC
 	case RS:
-		return a.Cols, b.Cols
+		return aC, bC, aR
 	default:
 		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(d))) // lint:invariant exhaustive switch guard
+	}
+}
+
+// productShape is the shape of the dataflow's local product of a and b.
+func (d Dataflow) productShape(a, b *tensor.Matrix) (rows, cols int) {
+	rows, cols, _ = d.dims(a.Rows, a.Cols, b.Rows, b.Cols)
+	return rows, cols
+}
+
+// sharedDim is the global dimension the two moving matrices share, which
+// MeshSlice slices, SUMMA cuts into panels and Wang shifts along: K for
+// OS, N for LS, M for RS.
+func (p Problem) sharedDim() int {
+	switch p.Dataflow {
+	case OS:
+		return p.K
+	case LS:
+		return p.N
+	default:
+		return p.M
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 // collectives over sliced sub-shards, so that the communication of one
 // slice overlaps the computation of another.
 //
-// One loop runs every dataflow. A dataflow is data (flow): which inputs are
-// sliced and all-gathered each step, and whether the partial product is
-// reduce-scattered and unsliced into the output. Collective 2D GeMM is the
-// same loop with S=1, and the serial and double-buffered schedules are its
-// lookahead 0 and lookahead 1 (schedule).
+// One loop runs every dataflow. A dataflow is data (Flow, flow.go): which
+// inputs are sliced and all-gathered each step, and whether the partial
+// product is reduce-scattered and unsliced into the output. Collective 2D
+// GeMM is the same loop with S=1, and the serial and double-buffered
+// schedules are its lookahead 0 and lookahead 1 (schedule).
 //
 // Following the paper's subscript convention (Fig. 2 caption): AG_col and
 // RdS_col are inter-column communications within the same mesh row (the
@@ -40,92 +40,6 @@ type MeshSliceConfig struct {
 	// MatMuls. Results are bit-identical to the serial schedule
 	// (lookahead 0).
 	Pipelined bool
-}
-
-// axis is how one matrix of a dataflow moves. A matrix moving alongCols is
-// sliced, gathered or reduce-scattered along its column dimension, which is
-// split across mesh columns, so its traffic runs on the row ring (AG_col,
-// RdS_col); alongRows is the transpose, on the column ring. A stationary
-// matrix never moves.
-type axis uint8
-
-const (
-	stationary axis = iota
-	alongRows
-	alongCols
-)
-
-// flow describes a dataflow as the movement of its inputs A, B and output
-// C; the local kernel is the dataflow's product (Dataflow.accumulate).
-type flow struct{ a, b, c axis }
-
-var flows = [...]flow{
-	OS: {a: alongCols, b: alongRows}, // C += AG_col(A)·AG_row(B)
-	LS: {b: alongRows, c: alongCols}, // C = RdS_col(A·AG_row(B)ᵀ)
-	RS: {a: alongCols, c: alongRows}, // C = RdS_row(AG_col(A)ᵀ·B)
-}
-
-func flowOf(df Dataflow) flow {
-	if df < OS || df > RS {
-		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(df))) // lint:invariant exhaustive dataflow guard
-	}
-	return flows[df]
-}
-
-// comm returns the ring a matrix moving along ax travels on.
-func (ax axis) comm(c *mesh.Chip) *mesh.Comm {
-	if ax == alongRows {
-		return c.ColComm()
-	}
-	return c.RowComm()
-}
-
-// scale returns rows×cols with the dimension along ax multiplied by num/den.
-func (ax axis) scale(rows, cols, num, den int) (int, int) {
-	if ax == alongRows {
-		return rows * num / den, cols
-	}
-	return rows, cols * num / den
-}
-
-// slice returns sub-shard s of x along ax (paper Algorithm 2); with one
-// slice that is x itself.
-func (ax axis) slice(x *tensor.Matrix, S, s, B int) *tensor.Matrix {
-	switch {
-	case S == 1:
-		return x
-	case ax == alongRows:
-		return tensor.SliceRow(x, S, s, B)
-	default:
-		return tensor.SliceCol(x, S, s, B)
-	}
-}
-
-// unslice writes sub-shard s back into its positions in x along ax.
-func (ax axis) unslice(x, sub *tensor.Matrix, S, s, B int) {
-	if ax == alongRows {
-		tensor.UnsliceRowInto(x, sub, S, s, B)
-	} else {
-		tensor.UnsliceColInto(x, sub, S, s, B)
-	}
-}
-
-// panel returns panel i of x's p equal panels along ax.
-func (ax axis) panel(x *tensor.Matrix, i, p int) *tensor.Matrix {
-	r, c := ax.scale(x.Rows, x.Cols, 1, p)
-	if ax == alongRows {
-		return x.SubMatrix(i*r, 0, r, c)
-	}
-	return x.SubMatrix(0, i*c, r, c)
-}
-
-// setPanel writes blk into x as panel i along ax.
-func (ax axis) setPanel(x, blk *tensor.Matrix, i int) {
-	if ax == alongRows {
-		x.SetSubMatrix(i*blk.Rows, 0, blk)
-	} else {
-		x.SetSubMatrix(0, i*blk.Cols, blk)
-	}
 }
 
 // schedule is how far a loop's collectives run ahead of its MatMuls.
@@ -181,12 +95,12 @@ func (sc schedule) computeEnd(c *mesh.Chip) {
 // gather all-gathers src along ax into dst: on the ring's comm lane under
 // lookahead, returning the handle to wait on, else synchronously, returning
 // nil.
-func (sc schedule) gather(ax axis, cm *mesh.Comm, src, dst *tensor.Matrix) *collective.Handle {
+func (sc schedule) gather(ax Axis, cm *mesh.Comm, src, dst *tensor.Matrix) *collective.Handle {
 	async := sc.ahead > 0
 	switch {
-	case ax == alongRows && async:
+	case ax == AlongRows && async:
 		return collective.StartAllGatherRowsInto(cm, src, dst)
-	case ax == alongRows:
+	case ax == AlongRows:
 		collective.AllGatherRowsInto(cm, src, dst)
 	case async:
 		return collective.StartAllGatherColsInto(cm, src, dst)
@@ -197,12 +111,12 @@ func (sc schedule) gather(ax axis, cm *mesh.Comm, src, dst *tensor.Matrix) *coll
 }
 
 // reduceScatter reduce-scatters src along ax into dst, like gather.
-func (sc schedule) reduceScatter(ax axis, cm *mesh.Comm, src, dst *tensor.Matrix) *collective.Handle {
+func (sc schedule) reduceScatter(ax Axis, cm *mesh.Comm, src, dst *tensor.Matrix) *collective.Handle {
 	async := sc.ahead > 0
 	switch {
-	case ax == alongRows && async:
+	case ax == AlongRows && async:
 		return collective.StartReduceScatterRowsInto(cm, src, dst)
-	case ax == alongRows:
+	case ax == AlongRows:
 		collective.ReduceScatterRowsInto(cm, src, dst)
 	case async:
 		return collective.StartReduceScatterColsInto(cm, src, dst)
@@ -228,20 +142,20 @@ func (cfg MeshSliceConfig) Validate(p Problem, t topology.Torus) error {
 	if p.Dataflow < OS || p.Dataflow > RS {
 		return fmt.Errorf("gemm: unknown dataflow %d", int(p.Dataflow))
 	}
-	f := flows[p.Dataflow]
+	f := p.Dataflow.Flow()
 	sb := cfg.S * cfg.Block
 	aR, aC, bR, bC := p.OperandShapes()
 	for _, m := range []struct {
-		ax         axis
+		ax         Axis
 		rows, cols int
-	}{{f.a, aR, aC}, {f.b, bR, bC}, {f.c, p.M, p.N}} {
+	}{{f.A, aR, aC}, {f.B, bR, bC}, {f.C, p.M, p.N}} {
 		var d int
 		switch m.ax {
-		case stationary:
+		case Stationary:
 			continue
-		case alongRows:
+		case AlongRows:
 			d = m.rows / t.Rows
-		case alongCols:
+		case AlongCols:
 			d = m.cols / t.Cols
 		}
 		if !divisible(d, sb) {
@@ -254,7 +168,7 @@ func (cfg MeshSliceConfig) Validate(p Problem, t topology.Torus) error {
 // MeshSlice returns the ChipFunc for the MeshSlice algorithm in the given
 // dataflow.
 func MeshSlice(df Dataflow, cfg MeshSliceConfig) ChipFunc {
-	f := flowOf(df)
+	f := df.Flow()
 	sc := scheduleOf(cfg.Pipelined)
 	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 		return meshSlice(c, df, f, sc, cfg.S, cfg.Block, aij, bij)
@@ -277,10 +191,10 @@ func Collective2D(df Dataflow) ChipFunc {
 // s's reduce-scatter is waited ahead slices later; the buffers rotate by
 // slice, so the op issued at slice s is waited before slice s+ahead+1
 // rewrites its buffer.
-func meshSlice(c *mesh.Chip, df Dataflow, f flow, sc schedule, S, B int, aij, bij *tensor.Matrix) *tensor.Matrix {
+func meshSlice(c *mesh.Chip, df Dataflow, f Flow, sc schedule, S, B int, aij, bij *tensor.Matrix) *tensor.Matrix {
 	n := sc.ahead + 1 // live buffers per stream: the one the MatMul reads, plus one per slice in flight
 	in := [2]*tensor.Matrix{aij, bij}
-	moves := [2]axis{f.a, f.b}
+	moves := [2]Axis{f.A, f.B}
 	var comms [2]*mesh.Comm
 	// gathered[i][k] is input i's gathered slice in buffer k, or the input
 	// itself when stationary.
@@ -290,7 +204,7 @@ func meshSlice(c *mesh.Chip, df Dataflow, f flow, sc schedule, S, B int, aij, bi
 		for k := 0; k < n; k++ {
 			gathered[i][k] = in[i]
 		}
-		if ax == stationary {
+		if ax == Stationary {
 			continue
 		}
 		comms[i] = ax.comm(c)
@@ -308,22 +222,22 @@ func meshSlice(c *mesh.Chip, df Dataflow, f flow, sc schedule, S, B int, aij, bi
 	var out *mesh.Comm
 	var cij *tensor.Matrix
 	pr, pc := df.productShape(gathered[0][0], gathered[1][0])
-	if f.c == stationary {
+	if f.C == Stationary {
 		cij = tensor.New(pr, pc)
 		partial = [2]*tensor.Matrix{cij, cij}
 	} else {
-		out = f.c.comm(c)
-		cij = tensor.New(f.c.scale(pr, pc, S, out.Size))
+		out = f.C.comm(c)
+		cij = tensor.New(f.C.scale(pr, pc, S, out.Size))
 		for k := 0; k < n; k++ {
 			partial[k] = tensor.New(pr, pc)
-			scattered[k] = tensor.New(f.c.scale(pr, pc, 1, out.Size))
+			scattered[k] = tensor.New(f.C.scale(pr, pc, 1, out.Size))
 		}
 	}
 
 	issue := func(s int) {
 		k := s % n
 		for i, ax := range moves {
-			if ax != stationary {
+			if ax != Stationary {
 				gathering[i][k] = sc.gather(ax, comms[i], ax.slice(in[i], S, s, B), gathered[i][k])
 			}
 		}
@@ -331,7 +245,7 @@ func meshSlice(c *mesh.Chip, df Dataflow, f flow, sc schedule, S, B int, aij, bi
 	drain := func(s int) {
 		k := s % n
 		wait(scattering[k])
-		f.c.unslice(cij, scattered[k], S, s, B)
+		f.C.unslice(cij, scattered[k], S, s, B)
 	}
 
 	for s := 0; s < sc.ahead && s < S; s++ {
@@ -346,20 +260,20 @@ func meshSlice(c *mesh.Chip, df Dataflow, f flow, sc schedule, S, B int, aij, bi
 		wait(gathering[0][k])
 		wait(gathering[1][k])
 		sc.computeStart(c, s)
-		if f.c != stationary {
+		if f.C != Stationary {
 			partial[k].Zero()
 		}
 		df.accumulate(partial[k], gathered[0][k], gathered[1][k])
 		sc.computeEnd(c)
-		if f.c != stationary {
-			scattering[k] = sc.reduceScatter(f.c, out, partial[k], scattered[k])
+		if f.C != Stationary {
+			scattering[k] = sc.reduceScatter(f.C, out, partial[k], scattered[k])
 			if s >= sc.ahead {
 				drain(s - sc.ahead)
 			}
 		}
 		sc.stepEnd(c)
 	}
-	if f.c != stationary {
+	if f.C != Stationary {
 		for s := max(S-sc.ahead, 0); s < S; s++ {
 			drain(s)
 		}

@@ -56,8 +56,8 @@ var pinnedDigests = map[string]pinnedDigest{
 	"SUMMA/RS/pipelined/2x2":      {0x8029d6130c078a7f, 0x98ab4d5b307f02c9},
 	"Cannon/OS/serial/2x2":        {0x9caa674ea8c7ea26, 0xf18d93edca606729},
 	"Cannon/OS/pipelined/2x2":     {0x9caa674ea8c7ea26, 0xf18d93edca606729},
-	"Wang/OS/serial/2x2":          {0xac94deb9d43bfeda, 0x92b2ba595aacdec9},
-	"Wang/OS/pipelined/2x2":       {0xac94deb9d43bfeda, 0x92b2ba595aacdec9},
+	"Wang/OS/serial/2x2":          {0x1efc0f01d0b62780, 0x92b2ba595aacdec9},
+	"Wang/OS/pipelined/2x2":       {0x1efc0f01d0b62780, 0x92b2ba595aacdec9},
 	"Wang/LS/serial/2x2":          {0xfaccc0165c6cd532, 0x67fae8207e026c31},
 	"Wang/LS/pipelined/2x2":       {0xfaccc0165c6cd532, 0x67fae8207e026c31},
 	"Wang/RS/serial/2x2":          {0x8029d6130c078a7f, 0x98ab4d5b307f02c9},
@@ -106,8 +106,8 @@ var pinnedDigests = map[string]pinnedDigest{
 	"SUMMA/RS/pipelined/4x4":      {0xc04ef5f4e3a4d3c0, 0x12c4f9573b5328f1},
 	"Cannon/OS/serial/4x4":        {0x3e3fb2f3e6de0e1f, 0xcfeadcf9c68e9f17},
 	"Cannon/OS/pipelined/4x4":     {0x3e3fb2f3e6de0e1f, 0xcfeadcf9c68e9f17},
-	"Wang/OS/serial/4x4":          {0x82a121881c546e37, 0x8f987b977192f1f5},
-	"Wang/OS/pipelined/4x4":       {0x82a121881c546e37, 0x8f987b977192f1f5},
+	"Wang/OS/serial/4x4":          {0x1438c3730aa9e452, 0xa4f32de560a4ab6d},
+	"Wang/OS/pipelined/4x4":       {0x1438c3730aa9e452, 0xa4f32de560a4ab6d},
 	"Wang/LS/serial/4x4":          {0x9176a6226ae89ce9, 0xa115ca2c090c47a1},
 	"Wang/LS/pipelined/4x4":       {0x9176a6226ae89ce9, 0xa115ca2c090c47a1},
 	"Wang/RS/serial/4x4":          {0xc04ef5f4e3a4d3c0, 0xe35f9ecce5bfd25d},

@@ -25,39 +25,33 @@ type SUMMAConfig struct {
 	Iterations int
 }
 
+// DefaultSUMMAIterations is SUMMA's panel count when none is chosen:
+// lcm(Pr, Pc), the fewest panels that give every panel an owner chip.
+func DefaultSUMMAIterations(t topology.Torus) int { return lcm(t.Rows, t.Cols) }
+
 // iterations resolves the panel count for the given torus.
-func (cfg SUMMAConfig) iterations(t topology.Torus) int {
+func (cfg SUMMAConfig) iterations(t topology.Torus) (int, error) {
 	p := cfg.Iterations
 	if p == 0 {
-		p = lcm(t.Rows, t.Cols)
+		p = DefaultSUMMAIterations(t)
 	}
 	if p%t.Rows != 0 || p%t.Cols != 0 {
-		panic(fmt.Sprintf("gemm: SUMMA iterations %d must be a common multiple of mesh %v", p, t))
+		return p, fmt.Errorf("gemm: SUMMA iterations %d not a common multiple of %v", p, t)
 	}
-	return p
+	return p, nil
 }
 
 // Validate reports whether SUMMA with cfg can run the problem on the torus:
 // the panelled dimension must split evenly into Iterations panels.
 func (cfg SUMMAConfig) Validate(p Problem, t topology.Torus) error {
-	if p.Dataflow != OS && p.Dataflow != LS && p.Dataflow != RS {
+	if p.Dataflow < OS || p.Dataflow > RS {
 		return fmt.Errorf("gemm: unknown dataflow %d", int(p.Dataflow))
 	}
-	iters := cfg.Iterations
-	if iters == 0 {
-		iters = lcm(t.Rows, t.Cols)
+	iters, err := cfg.iterations(t)
+	if err != nil {
+		return err
 	}
-	if iters%t.Rows != 0 || iters%t.Cols != 0 {
-		return fmt.Errorf("gemm: SUMMA iterations %d not a common multiple of %v", iters, t)
-	}
-	dim := p.K
-	switch p.Dataflow {
-	case LS:
-		dim = p.N
-	case RS:
-		dim = p.M
-	}
-	if !divisible(dim, iters) {
+	if dim := p.sharedDim(); !divisible(dim, iters) {
 		return fmt.Errorf("gemm: SUMMA panel dimension %d not divisible by %d iterations", dim, iters)
 	}
 	return nil
@@ -65,121 +59,67 @@ func (cfg SUMMAConfig) Validate(p Problem, t topology.Torus) error {
 
 // SUMMA returns the ChipFunc for the SUMMA algorithm in the given dataflow.
 func SUMMA(df Dataflow, cfg SUMMAConfig) ChipFunc {
-	switch df {
-	case OS:
-		return summaOS(cfg)
-	case LS:
-		return summaLS(cfg)
-	case RS:
-		return summaRS(cfg)
-	default:
-		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(df)))
+	f := df.Flow()
+	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
+		iters, err := cfg.iterations(torusOf(c))
+		if err != nil {
+			panic(err.Error())
+		}
+		return summa(c, df, f, iters, aij, bij)
 	}
 }
 
-// summaOS: for each panel p of the K dimension, the owning column
-// broadcasts its A panel along each row, the owning row broadcasts its B
-// panel down each column, and every chip accumulates the partial product.
-func summaOS(cfg SUMMAConfig) ChipFunc {
-	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-		row, col := c.RowComm(), c.ColComm()
-		iters := cfg.iterations(torusOf(c))
-		perCol := iters / row.Size // panels owned per chip column
-		perRow := iters / col.Size // panels owned per chip row
-		aw := aij.Cols / perCol    // A panel width (K/P)
-		bh := bij.Rows / perRow    // B panel height (K/P)
-		cij := tensor.New(aij.Rows, bij.Cols)
-		for p := 0; p < iters; p++ {
-			c.SpanStart(recorder.OpGemmStep, p)
-			ownerCol, offA := p/perCol, (p%perCol)*aw
-			var aPanel *tensor.Matrix
-			if row.Pos == ownerCol {
-				aPanel = aij.SubMatrix(0, offA, aij.Rows, aw)
-			}
-			aPrime := collective.Broadcast(row, ownerCol, aPanel)
-
-			ownerRow, offB := p/perRow, (p%perRow)*bh
-			var bPanel *tensor.Matrix
-			if col.Pos == ownerRow {
-				bPanel = bij.SubMatrix(offB, 0, bh, bij.Cols)
-			}
-			bPrime := collective.Broadcast(col, ownerRow, bPanel)
-
-			tensor.MatMulAdd(cij, aPrime, bPrime)
-			c.SpanEnd(recorder.OpGemmStep)
-		}
-		return cij
+// summa runs SUMMA's loop on one chip. A moving matrix's panels are split
+// evenly over its ring, iters/ring consecutive panels per chip, so panel p
+// lives on ring position p/(iters/ring). For each panel p the owners
+// broadcast the moving inputs' panels along their rings and every chip
+// multiplies them: into C when the output is stationary, else into a
+// partial product that is reduced to the chip owning output panel p.
+func summa(c *mesh.Chip, df Dataflow, f Flow, iters int, aij, bij *tensor.Matrix) *tensor.Matrix {
+	in := [2]*tensor.Matrix{aij, bij}
+	moves := [2]Axis{f.A, f.B}
+	// x holds the kernel operands: each moving input's broadcast panel,
+	// or the stationary input itself.
+	x := in
+	t := torusOf(c)
+	var shape [2][2]int
+	for i, ax := range moves {
+		shape[i][0], shape[i][1] = ax.scale(in[i].Rows, in[i].Cols, ax.Ring(t), iters)
 	}
-}
-
-// summaLS: for each panel p of the N dimension, the owning row broadcasts
-// its B panel down each column, every chip computes the partial product
-// C' = A·B'ᵀ over its local K columns, and C' is reduced along the row to
-// the chip column owning output panel p.
-func summaLS(cfg SUMMAConfig) ChipFunc {
-	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-		row, col := c.RowComm(), c.ColComm()
-		iters := cfg.iterations(torusOf(c))
-		perRow := iters / col.Size // B panels owned per chip row
-		perCol := iters / row.Size // C panels owned per chip column
-		bh := bij.Rows / perRow    // B panel height (N/P)
-		n := bij.Rows * col.Size
-		cij := tensor.New(aij.Rows, n/row.Size)
-		cw := cij.Cols / perCol // C panel width (N/P)
-		for p := 0; p < iters; p++ {
-			c.SpanStart(recorder.OpGemmStep, p)
-			ownerRow, offB := p/perRow, (p%perRow)*bh
-			var bPanel *tensor.Matrix
-			if col.Pos == ownerRow {
-				bPanel = bij.SubMatrix(offB, 0, bh, bij.Cols)
-			}
-			bPrime := collective.Broadcast(col, ownerRow, bPanel)
-
-			cPrime := tensor.MatMulNT(aij, bPrime) // M/Pr × N/P partial
-
-			ownerCol, offC := p/perCol, (p%perCol)*cw
-			if red := collective.Reduce(row, ownerCol, cPrime); red != nil {
-				cij.SetSubMatrix(0, offC, red)
-			}
-			c.SpanEnd(recorder.OpGemmStep)
-		}
-		return cij
+	pr, pc, _ := df.dims(shape[0][0], shape[0][1], shape[1][0], shape[1][1])
+	cij := tensor.New(f.C.scale(pr, pc, iters, f.C.Ring(t)))
+	partial := cij
+	if f.C != Stationary {
+		partial = tensor.New(pr, pc)
 	}
-}
-
-// summaRS: for each panel p of the M dimension, the owning column
-// broadcasts its A panel along each row, every chip computes the partial
-// product C' = A'ᵀ·B over its local K rows, and C' is reduced down the
-// column to the chip row owning output panel p.
-func summaRS(cfg SUMMAConfig) ChipFunc {
-	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-		row, col := c.RowComm(), c.ColComm()
-		iters := cfg.iterations(torusOf(c))
-		perCol := iters / row.Size // A panels owned per chip column
-		perRow := iters / col.Size // C panels owned per chip row
-		aw := aij.Cols / perCol    // A panel width (M/P)
-		m := aij.Cols * row.Size
-		cij := tensor.New(m/col.Size, bij.Cols)
-		ch := cij.Rows / perRow // C panel height (M/P)
-		for p := 0; p < iters; p++ {
-			c.SpanStart(recorder.OpGemmStep, p)
-			ownerCol, offA := p/perCol, (p%perCol)*aw
-			var aPanel *tensor.Matrix
-			if row.Pos == ownerCol {
-				aPanel = aij.SubMatrix(0, offA, aij.Rows, aw)
+	for p := 0; p < iters; p++ {
+		c.SpanStart(recorder.OpGemmStep, p)
+		for i, ax := range moves {
+			if ax == Stationary {
+				continue
 			}
-			aPrime := collective.Broadcast(row, ownerCol, aPanel)
-
-			cPrime := tensor.MatMulTN(aPrime, bij) // M/P × N/Pc partial
-
-			ownerRow, offC := p/perRow, (p%perRow)*ch
-			if red := collective.Reduce(col, ownerRow, cPrime); red != nil {
-				cij.SetSubMatrix(offC, 0, red)
+			ring := ax.comm(c)
+			per := iters / ring.Size
+			var panel *tensor.Matrix
+			if ring.Pos == p/per {
+				panel = ax.panel(in[i], p%per, per)
 			}
-			c.SpanEnd(recorder.OpGemmStep)
+			x[i] = collective.Broadcast(ring, p/per, panel)
 		}
-		return cij
+		if f.C != Stationary {
+			partial.Zero()
+		}
+		df.accumulate(partial, x[0], x[1])
+		if f.C != Stationary {
+			ring := f.C.comm(c)
+			per := iters / ring.Size
+			if red := collective.Reduce(ring, p/per, partial); red != nil {
+				f.C.setPanel(cij, red, p%per)
+			}
+		}
+		c.SpanEnd(recorder.OpGemmStep)
 	}
+	return cij
 }
 
 func torusOf(c *mesh.Chip) topology.Torus {

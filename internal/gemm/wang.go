@@ -12,35 +12,33 @@ import (
 // Wang returns the ChipFunc for Wang et al.'s algorithm (paper §2.3.4,
 // [34]) in any dataflow: the AllGather of ONE flowing input is decomposed
 // into SendRecv shifts, one partial GeMM per arriving shard, which on real
-// hardware overlap with the GeMMs. A second flowing input (B under OS) is
-// all-gathered up front in one monolithic collective, and a flowing output
-// (LS/RS) is reduce-scattered once at the end, mirroring the timing
-// schedule in package sched. Decomposing both directions would require
-// Cannon (and its square-mesh limitation), which is exactly the gap
-// MeshSlice closes.
+// hardware overlap with the GeMMs. Flow.WangStream picks that input: the
+// only flowing one under LS and RS, the costlier AllGather under OS, where
+// the other input is all-gathered up front in one monolithic collective. A
+// flowing output (LS/RS) is reduce-scattered once at the end. The timing
+// program sched.WangProgram reads the same rule. Decomposing both
+// directions would require Cannon (and its square-mesh limitation), which
+// is exactly the gap MeshSlice closes.
 //
 // pipelined selects lookahead 1 (see schedule): the shift of shard t+1 is
 // issued on the comm lane before the partial GeMM on shard t and waited
 // after it. At lookahead 0 the shift runs synchronously.
 func Wang(df Dataflow, pipelined bool) ChipFunc {
-	f := flowOf(df)
+	f := df.Flow()
 	sc := scheduleOf(pipelined)
 	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 		return wang(c, df, f, sc, aij, bij)
 	}
 }
 
-// wang runs Wang's loop on one chip. The first flowing input circulates
+// wang runs Wang's loop on one chip. The input WangStream picks circulates
 // around its ring: at step t the chip holds the shard that started at ring
 // position src = Pos+t, multiplies it with the matching panel of the other
 // input, and adds the product into C (stationary output) or writes it as
 // panel src of the partial output.
-func wang(c *mesh.Chip, df Dataflow, f flow, sc schedule, aij, bij *tensor.Matrix) *tensor.Matrix {
-	moves := [2]axis{f.a, f.b}
-	circ := 0
-	if f.a == stationary {
-		circ = 1
-	}
+func wang(c *mesh.Chip, df Dataflow, f Flow, sc schedule, aij, bij *tensor.Matrix) *tensor.Matrix {
+	moves := [2]Axis{f.A, f.B}
+	circ := f.WangStream(torusOf(c), aij.Rows*aij.Cols, bij.Rows*bij.Cols)
 	other := 1 - circ
 	ring := moves[circ].comm(c)
 	p := ring.Size
@@ -52,7 +50,7 @@ func wang(c *mesh.Chip, df Dataflow, f flow, sc schedule, aij, bij *tensor.Matri
 	for i := range panels {
 		panels[i] = x[other]
 	}
-	if ax := moves[other]; ax != stationary {
+	if ax := moves[other]; ax != Stationary {
 		// Monolithic in both schedules: one synchronous AllGather.
 		cm := ax.comm(c)
 		full := tensor.New(ax.scale(x[other].Rows, x[other].Cols, cm.Size, 1))
@@ -67,8 +65,8 @@ func wang(c *mesh.Chip, df Dataflow, f flow, sc schedule, aij, bij *tensor.Matri
 	// stationary, else the block written into panel src of partial.
 	acc := tensor.New(df.productShape(x[0], x[1]))
 	var partial *tensor.Matrix
-	if f.c != stationary {
-		partial = tensor.New(f.c.scale(acc.Rows, acc.Cols, p, 1))
+	if f.C != Stationary {
+		partial = tensor.New(f.C.scale(acc.Rows, acc.Cols, p, 1))
 	}
 	var bufs [2]*tensor.Matrix
 	for i := 0; sc.ahead > 0 && i < len(bufs); i++ {
@@ -89,7 +87,7 @@ func wang(c *mesh.Chip, df Dataflow, f flow, sc schedule, aij, bij *tensor.Matri
 		}
 		df.accumulate(acc, x[0], x[1])
 		if partial != nil {
-			f.c.setPanel(partial, acc, src)
+			f.C.setPanel(partial, acc, src)
 		}
 		sc.computeEnd(c)
 		sc.stepEnd(c)
@@ -100,9 +98,9 @@ func wang(c *mesh.Chip, df Dataflow, f flow, sc schedule, aij, bij *tensor.Matri
 		return acc
 	}
 	// The output's ReduceScatter is monolithic and synchronous too.
-	out := f.c.comm(c)
-	cij := tensor.New(f.c.scale(partial.Rows, partial.Cols, 1, out.Size))
-	schedule{}.reduceScatter(f.c, out, partial, cij)
+	out := f.C.comm(c)
+	cij := tensor.New(f.C.scale(partial.Rows, partial.Cols, 1, out.Size))
+	schedule{}.reduceScatter(f.C, out, partial, cij)
 	return cij
 }
 
@@ -119,23 +117,13 @@ func shift(sc schedule, ring *mesh.Comm, cur, buf *tensor.Matrix) (*tensor.Matri
 }
 
 // WangValidate reports whether Wang's algorithm can run the problem on the
-// torus.
+// torus: the shared dimension must split over both mesh dimensions.
 func WangValidate(p Problem, t topology.Torus) error {
-	switch p.Dataflow {
-	case OS:
-		if !divisible(p.K, t.Cols) || !divisible(p.K, t.Rows) {
-			return fmt.Errorf("gemm: Wang OS needs K=%d divisible by both mesh dims of %v", p.K, t)
-		}
-	case LS:
-		if !divisible(p.N, t.Rows) || !divisible(p.N, t.Cols) {
-			return fmt.Errorf("gemm: Wang LS needs N=%d divisible by both mesh dims of %v", p.N, t)
-		}
-	case RS:
-		if !divisible(p.M, t.Cols) || !divisible(p.M, t.Rows) {
-			return fmt.Errorf("gemm: Wang RS needs M=%d divisible by both mesh dims of %v", p.M, t)
-		}
-	default:
+	if p.Dataflow < OS || p.Dataflow > RS {
 		return fmt.Errorf("gemm: unknown dataflow %d", int(p.Dataflow))
+	}
+	if d := p.sharedDim(); !divisible(d, t.Cols) || !divisible(d, t.Rows) {
+		return fmt.Errorf("gemm: Wang %v needs its shared dimension %d divisible by both mesh dims of %v", p.Dataflow, d, t)
 	}
 	return nil
 }

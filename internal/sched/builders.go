@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
 
 	"meshslice/internal/gemm"
 	"meshslice/internal/hw"
@@ -21,136 +22,123 @@ func gemmHBM(aElems, bElems, cElems float64, c hw.Chip) float64 {
 	return (aElems + bElems + 2*cElems) * c.BytesPerElement
 }
 
+// matrix is one of a GeMM's three matrices as a program sees it: its name,
+// how the dataflow moves it (its gemm.Flow entry), the ring it moves on and
+// its per-chip shard.
+type matrix struct {
+	name       string
+	ax         gemm.Axis
+	ring       int
+	rows, cols int
+}
+
+// matrices returns A, B and C of the problem on the torus.
+func matrices(p gemm.Problem, t topology.Torus) [3]matrix {
+	f := p.Dataflow.Flow()
+	aR, aC, bR, bC, cR, cC := shardDims(p, t)
+	return [3]matrix{
+		{"A", f.A, f.A.Ring(t), aR, aC},
+		{"B", f.B, f.B.Ring(t), bR, bC},
+		{"C", f.C, f.C.Ring(t), cR, cC},
+	}
+}
+
+// moves reports whether x crosses links: it flows on a ring of more than
+// one chip.
+func (x matrix) moves() bool { return x.ring > 1 }
+
+func (x matrix) elems() float64 { return float64(x.rows * x.cols) }
+
+// loaded returns the elements of x that one of parts steps works on: a
+// flowing matrix's gathered extent cut into parts, a stationary shard whole.
+func (x matrix) loaded(parts float64) float64 {
+	switch x.ax {
+	case gemm.AlongRows:
+		return float64(x.rows*x.ring) / parts * float64(x.cols)
+	case gemm.AlongCols:
+		return float64(x.rows) * float64(x.cols*x.ring) / parts
+	}
+	return x.elems()
+}
+
+// comm names a collective on x in the paper's notation, "AG_col A", with
+// the loop step appended when step is not empty ("AG_col A s=2"). It
+// concatenates instead of formatting, so a name costs one allocation.
+func (x matrix) comm(op, step string, i int) string {
+	if step == "" {
+		return op + "_" + x.ax.Sub() + " " + x.name
+	}
+	return op + "_" + x.ax.Sub() + " " + x.name + " " + step + "=" + strconv.Itoa(i)
+}
+
+// partialGeMM is the compute op of one of parts steps: the chip's share of
+// the full GeMM over parts, on the operands each matrix loads.
+func partialGeMM(p gemm.Problem, t topology.Torus, c hw.Chip, mats [3]matrix, parts int, name string, deps []int) Op {
+	m, n, k := p.PartialShape(t, 1, parts)
+	fP := float64(parts)
+	return Op{
+		Kind: Compute, Name: name,
+		FLOPs: 2 * float64(mats[2].rows) * float64(mats[2].cols) * float64(p.K) / fP,
+		M:     m, N: n, K: k,
+		HBMBytes: gemmHBM(mats[0].loaded(fP), mats[1].loaded(fP), mats[2].loaded(fP), c),
+		Deps:     deps,
+	}
+}
+
 // MeshSliceProgram builds the SPMD program of the MeshSlice algorithm
-// (paper Fig. 5) for the given problem, mesh, and slice count S. With S=1
-// it degenerates to the Collective 2D GeMM schedule plus slicing no-ops,
-// so callers wanting Collective should use CollectiveProgram instead.
+// (paper Fig. 5) for the given problem, mesh, and slice count S. It reads
+// the dataflow's gemm.Flow row, which the functional loop (gemm.MeshSlice)
+// runs too: per slice, each flowing input is sliced and all-gathered on its
+// ring, the partial GeMM waits for the gathers, and a flowing output is
+// reduce-scattered and unsliced. With S=1 it is the Collective 2D GeMM
+// schedule, which CollectiveProgram labels as such.
 func MeshSliceProgram(p gemm.Problem, t topology.Torus, c hw.Chip, S int) *Program {
 	if S <= 0 {
 		panic(fmt.Sprintf("sched: MeshSlice S=%d", S)) // lint:invariant slice-count precondition
 	}
-	aR, aC, bR, bC, cR, cC := shardDims(p, t)
+	mats := matrices(p, t)
 	bpe := c.BytesPerElement
-	b := &builder{}
 	fS := float64(S)
-
+	b := &builder{}
 	for s := 0; s < S; s++ {
-		switch p.Dataflow {
-		case gemm.OS:
-			aSub := float64(aR*aC) / fS
-			bSub := float64(bR*bC) / fS
-			var deps []int
-			if t.Cols > 1 {
-				agADeps := sliceDep(b, S, s, aSub, bpe, "slice A_s")
+		var deps []int
+		for _, x := range mats[:2] {
+			if x.moves() {
+				sub := x.elems() / fS
 				deps = append(deps, b.add(Op{
-					Kind: AllGather, Name: fmt.Sprintf("AG_col A s=%d", s),
-					Dir: topology.InterCol, Bytes: aSub * bpe, Steps: t.Cols - 1,
-					Deps: agADeps,
+					Kind: AllGather, Name: x.comm("AG", "s", s),
+					Dir: x.ax.Dir(), Bytes: sub * bpe, Steps: x.ring - 1,
+					Deps: sliceDep(b, S, s, sub, bpe, x.name),
 				}))
 			}
-			if t.Rows > 1 {
-				agBDeps := sliceDep(b, S, s, bSub, bpe, "slice B_s")
-				deps = append(deps, b.add(Op{
-					Kind: AllGather, Name: fmt.Sprintf("AG_row B s=%d", s),
-					Dir: topology.InterRow, Bytes: bSub * bpe, Steps: t.Rows - 1,
-					Deps: agBDeps,
-				}))
-			}
-			flops := 2 * float64(cR) * float64(cC) * float64(p.K) / fS
-			b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM s=%d", s),
-				FLOPs: flops,
-				M:     cR, N: cC, K: p.K / S,
-				HBMBytes: gemmHBM(aSub*float64(t.Cols), bSub*float64(t.Rows),
-					float64(cR*cC), c),
-				Deps: deps,
+		}
+		g := b.add(partialGeMM(p, t, c, mats, S, fmt.Sprintf("partial GeMM s=%d", s), deps))
+		if x := mats[2]; x.moves() {
+			sub := x.elems() / fS
+			rds := b.add(Op{
+				Kind: ReduceScatter, Name: x.comm("RdS", "s", s),
+				Dir: x.ax.Dir(), Bytes: sub * bpe, Steps: x.ring - 1, Deps: []int{g},
 			})
-
-		case gemm.LS:
-			bSub := float64(bR*bC) / fS
-			var gemmDeps []int
-			if t.Rows > 1 {
-				agDeps := sliceDep(b, S, s, bSub, bpe, "slice B_s")
-				gemmDeps = append(gemmDeps, b.add(Op{
-					Kind: AllGather, Name: fmt.Sprintf("AG_row B s=%d", s),
-					Dir: topology.InterRow, Bytes: bSub * bpe, Steps: t.Rows - 1,
-					Deps: agDeps,
-				}))
-			}
-			nSlice := float64(p.N) / fS // columns of the partial product C'
-			flops := 2 * float64(aR) * nSlice * float64(aC)
-			g := b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM s=%d", s),
-				FLOPs: flops,
-				M:     aR, N: p.N / S, K: aC,
-				HBMBytes: gemmHBM(float64(aR*aC), bSub*float64(t.Rows), float64(aR)*nSlice, c),
-				Deps:     gemmDeps,
-			})
-			if t.Cols > 1 {
-				rds := b.add(Op{
-					Kind: ReduceScatter, Name: fmt.Sprintf("RdS_col C s=%d", s),
-					Dir: topology.InterCol, Bytes: float64(aR) * nSlice / float64(t.Cols) * bpe,
-					Steps: t.Cols - 1, Deps: []int{g},
+			if S > 1 {
+				b.add(Op{
+					Kind: Slice, Name: fmt.Sprintf("unslice C s=%d", s),
+					HBMBytes: 2 * sub * bpe, Deps: []int{rds},
 				})
-				if S > 1 {
-					sub := float64(cR*cC) / fS
-					b.add(Op{
-						Kind: Slice, Name: fmt.Sprintf("unslice C s=%d", s),
-						HBMBytes: 2 * sub * bpe, Deps: []int{rds},
-					})
-				}
 			}
-
-		case gemm.RS:
-			aSub := float64(aR*aC) / fS
-			var gemmDeps []int
-			if t.Cols > 1 {
-				agDeps := sliceDep(b, S, s, aSub, bpe, "slice A_s")
-				gemmDeps = append(gemmDeps, b.add(Op{
-					Kind: AllGather, Name: fmt.Sprintf("AG_col A s=%d", s),
-					Dir: topology.InterCol, Bytes: aSub * bpe, Steps: t.Cols - 1,
-					Deps: agDeps,
-				}))
-			}
-			mSlice := float64(p.M) / fS // rows of the partial product C'
-			flops := 2 * mSlice * float64(bC) * float64(bR)
-			g := b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM s=%d", s),
-				FLOPs: flops,
-				M:     p.M / S, N: bC, K: bR,
-				HBMBytes: gemmHBM(aSub*float64(t.Cols), float64(bR*bC), mSlice*float64(bC), c),
-				Deps:     gemmDeps,
-			})
-			if t.Rows > 1 {
-				rds := b.add(Op{
-					Kind: ReduceScatter, Name: fmt.Sprintf("RdS_row C s=%d", s),
-					Dir: topology.InterRow, Bytes: mSlice / float64(t.Rows) * float64(bC) * bpe,
-					Steps: t.Rows - 1, Deps: []int{g},
-				})
-				if S > 1 {
-					sub := float64(cR*cC) / fS
-					b.add(Op{
-						Kind: Slice, Name: fmt.Sprintf("unslice C s=%d", s),
-						HBMBytes: 2 * sub * bpe, Deps: []int{rds},
-					})
-				}
-			}
-
-		default:
-			panic(fmt.Sprintf("sched: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive switch guard
 		}
 	}
 	return &Program{Torus: t, Ops: b.ops, Label: fmt.Sprintf("MeshSlice-%v S=%d", p.Dataflow, S)}
 }
 
-// sliceDep emits the slicing op for a sub-shard when S>1 and returns the
-// dependency list for the consumer (empty when no slicing is needed).
+// sliceDep emits the slicing op for matrix name's sub-shard when S>1 and
+// returns the dependency list for the consumer (empty when no slicing is
+// needed).
 func sliceDep(b *builder, S, s int, subElems, bpe float64, name string) []int {
 	if S <= 1 {
 		return nil
 	}
 	return []int{b.add(Op{
-		Kind: Slice, Name: fmt.Sprintf("%s s=%d", name, s),
+		Kind: Slice, Name: "slice " + name + "_s s=" + strconv.Itoa(s),
 		HBMBytes: 2 * subElems * bpe,
 	})}
 }
@@ -164,116 +152,39 @@ func CollectiveProgram(p gemm.Problem, t topology.Torus, c hw.Chip) *Program {
 	return prog
 }
 
-// SUMMAProgram builds SUMMA's schedule (paper Fig. 2a): iters loop
-// iterations, each broadcasting panels with fine-grain pipelined
-// bcast/reduce operations. iters defaults to lcm(Pr, Pc) when zero; the
-// paper's evaluation unrolls SUMMA to MeshSlice's slice count (§4.2), which
-// corresponds to passing that count here.
+// SUMMAProgram builds SUMMA's schedule (paper Fig. 2a) from the same flow
+// row: iters loop iterations, each broadcasting every flowing input's panel
+// with fine-grain pipelined bcast operations and, for a flowing output,
+// reducing the partial product's panel. iters defaults to
+// gemm.DefaultSUMMAIterations when zero; the paper's evaluation unrolls
+// SUMMA to MeshSlice's slice count (§4.2), which corresponds to passing
+// that count here.
 func SUMMAProgram(p gemm.Problem, t topology.Torus, c hw.Chip, iters int) *Program {
 	if iters <= 0 {
-		iters = lcm(t.Rows, t.Cols)
+		iters = gemm.DefaultSUMMAIterations(t)
 	}
-	aR, aC, bR, bC, cR, cC := shardDims(p, t)
+	mats := matrices(p, t)
 	bpe := c.BytesPerElement
 	d := c.BcastPackets
-	b := &builder{}
 	fI := float64(iters)
-
+	b := &builder{}
+	pipelined := func(kind OpKind, op string, x matrix, it int, deps []int) int {
+		return b.add(Op{
+			Kind: kind, Name: x.comm(op, "p", it), Dir: x.ax.Dir(),
+			Bytes: x.loaded(fI) * bpe, Steps: x.ring + d - 2, Packets: d, Deps: deps,
+		})
+	}
 	for it := 0; it < iters; it++ {
-		switch p.Dataflow {
-		case gemm.OS:
-			var deps []int
-			if t.Cols > 1 {
-				deps = append(deps, b.add(Op{
-					Kind: Broadcast, Name: fmt.Sprintf("bcast_col A p=%d", it),
-					Dir:   topology.InterCol,
-					Bytes: float64(aR) * float64(p.K) / fI * bpe,
-					Steps: t.Cols + d - 2, Packets: d,
-				}))
+		var deps []int
+		for _, x := range mats[:2] {
+			if x.moves() {
+				deps = append(deps, pipelined(Broadcast, "bcast", x, it, nil))
 			}
-			if t.Rows > 1 {
-				deps = append(deps, b.add(Op{
-					Kind: Broadcast, Name: fmt.Sprintf("bcast_row B p=%d", it),
-					Dir:   topology.InterRow,
-					Bytes: float64(p.K) / fI * float64(bC) * bpe,
-					Steps: t.Rows + d - 2, Packets: d,
-				}))
-			}
-			b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM p=%d", it),
-				FLOPs: 2 * float64(cR) * float64(cC) * float64(p.K) / fI,
-				M:     cR, N: cC, K: p.K / iters,
-				HBMBytes: gemmHBM(float64(aR)*float64(p.K)/fI,
-					float64(p.K)/fI*float64(bC), float64(cR*cC), c),
-				Deps: deps,
-			})
-
-		case gemm.LS:
-			var gemmDeps []int
-			if t.Rows > 1 {
-				gemmDeps = append(gemmDeps, b.add(Op{
-					Kind: Broadcast, Name: fmt.Sprintf("bcast_row B p=%d", it),
-					Dir:   topology.InterRow,
-					Bytes: float64(p.N) / fI * float64(bC) * bpe,
-					Steps: t.Rows + d - 2, Packets: d,
-				}))
-			}
-			g := b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM p=%d", it),
-				FLOPs: 2 * float64(aR) * float64(p.N) / fI * float64(aC),
-				M:     aR, N: p.N / iters, K: aC,
-				HBMBytes: gemmHBM(float64(aR*aC), float64(p.N)/fI*float64(bC),
-					float64(aR)*float64(p.N)/fI, c),
-				Deps: gemmDeps,
-			})
-			if t.Cols > 1 {
-				b.add(Op{
-					Kind: Reduce, Name: fmt.Sprintf("reduce_col C p=%d", it),
-					Dir:   topology.InterCol,
-					Bytes: float64(aR) * float64(p.N) / fI * bpe,
-					Steps: t.Cols + d - 2, Packets: d, Deps: []int{g},
-				})
-			}
-
-		case gemm.RS:
-			var gemmDeps []int
-			if t.Cols > 1 {
-				gemmDeps = append(gemmDeps, b.add(Op{
-					Kind: Broadcast, Name: fmt.Sprintf("bcast_col A p=%d", it),
-					Dir:   topology.InterCol,
-					Bytes: float64(bR) * float64(p.M) / fI * bpe,
-					Steps: t.Cols + d - 2, Packets: d,
-				}))
-			}
-			g := b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM p=%d", it),
-				FLOPs: 2 * float64(p.M) / fI * float64(bC) * float64(bR),
-				M:     p.M / iters, N: bC, K: bR,
-				HBMBytes: gemmHBM(float64(bR)*float64(p.M)/fI, float64(bR*bC),
-					float64(p.M)/fI*float64(bC), c),
-				Deps: gemmDeps,
-			})
-			if t.Rows > 1 {
-				b.add(Op{
-					Kind: Reduce, Name: fmt.Sprintf("reduce_row C p=%d", it),
-					Dir:   topology.InterRow,
-					Bytes: float64(p.M) / fI * float64(bC) * bpe,
-					Steps: t.Rows + d - 2, Packets: d, Deps: []int{g},
-				})
-			}
-
-		default:
-			panic(fmt.Sprintf("sched: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive switch guard
+		}
+		g := b.add(partialGeMM(p, t, c, mats, iters, fmt.Sprintf("partial GeMM p=%d", it), deps))
+		if x := mats[2]; x.moves() {
+			pipelined(Reduce, "reduce", x, it, []int{g})
 		}
 	}
 	return &Program{Torus: t, Ops: b.ops, Label: fmt.Sprintf("SUMMA-%v P=%d", p.Dataflow, iters)}
-}
-
-func lcm(a, b int) int { return a / gcd(a, b) * b }
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

@@ -71,105 +71,47 @@ func depsOfShift(prev []int, which int) []int {
 	return []int{prev[which]}
 }
 
-// WangProgram builds Wang et al.'s schedule (paper §2.3.4): ONE collective
-// is decomposed into SendRecv shifts overlapped with partial GeMMs, while
-// the communication in the other direction stays monolithic and exposed —
+// WangProgram builds Wang et al.'s schedule (paper §2.3.4) from the flow
+// row the functional loop (gemm.Wang) runs: ONE collective is decomposed
+// into SendRecv shifts overlapped with partial GeMMs, while the
+// communication in the other direction stays monolithic and exposed —
 // decomposing both directions would require Cannon. The decomposed
-// collective is the flowing-input AllGather (for OS, the larger of the two
-// AllGathers); for LS/RS the output ReduceScatter stays monolithic. unroll
-// merges shift steps into fewer, larger iterations (the loop unrolling of
-// §4.2); pass 0 for the natural fully-decomposed loop.
+// collective is the flowing-input AllGather gemm.Flow.WangStream picks (for
+// OS, the costlier of the two AllGathers; the other runs up front); for
+// LS/RS the output ReduceScatter stays monolithic after the loop, since it
+// needs every partial product. unroll merges shift steps into fewer, larger
+// iterations (the loop unrolling of §4.2); pass 0 for the natural
+// fully-decomposed loop.
 func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Program {
-	aR, aC, bR, bC, cR, cC := shardDims(p, t)
+	mats := matrices(p, t)
+	circ := p.Dataflow.Flow().WangStream(t, mats[0].rows*mats[0].cols, mats[1].rows*mats[1].cols)
+	stream, ring := mats[circ], mats[circ].ring
 	bpe := c.BytesPerElement
 	b := &builder{}
-	flopsTotal := 2 * float64(cR) * float64(cC) * float64(p.K)
 
-	// Per dataflow: which operand streams around which ring, what runs
-	// monolithically before the loop, and what trails after it.
-	var (
-		streamDir   topology.Direction
-		streamRing  int
-		streamBytes float64 // shard bytes per shift step
-		streamHBM   float64 // operand elements held locally (for HBM est.)
-		preDeps     []int
-		streamingA  bool // OS only: which operand circulates
-	)
-	trailing := func(lastGeMMs []int) {}
-
-	switch p.Dataflow {
-	case gemm.OS:
-		// Stream the costlier AllGather; run the other up front, exposed.
-		aCost := float64(t.Cols-1) * float64(aR*aC)
-		bCost := float64(t.Rows-1) * float64(bR*bC)
-		if aCost >= bCost {
-			streamDir, streamRing = topology.InterCol, t.Cols
-			streamBytes = float64(aR*aC) * bpe
-			streamHBM = float64(aR * aC)
-			streamingA = true
-			if t.Rows > 1 {
-				preDeps = append(preDeps, b.add(Op{
-					Kind: AllGather, Name: "AG_row B", Dir: topology.InterRow,
-					Bytes: float64(bR*bC) * bpe, Steps: t.Rows - 1,
-				}))
-			}
-		} else {
-			streamDir, streamRing = topology.InterRow, t.Rows
-			streamBytes = float64(bR*bC) * bpe
-			streamHBM = float64(bR * bC)
-			if t.Cols > 1 {
-				preDeps = append(preDeps, b.add(Op{
-					Kind: AllGather, Name: "AG_col A", Dir: topology.InterCol,
-					Bytes: float64(aR*aC) * bpe, Steps: t.Cols - 1,
-				}))
-			}
-		}
-	case gemm.LS:
-		// Stream B's AG_row; the RdS_col of C stays monolithic after the
-		// loop (it needs every partial product's columns).
-		streamDir, streamRing = topology.InterRow, t.Rows
-		streamBytes = float64(bR*bC) * bpe
-		streamHBM = float64(bR * bC)
-		if t.Cols > 1 {
-			trailing = func(lastGeMMs []int) {
-				b.add(Op{
-					Kind: ReduceScatter, Name: "RdS_col C", Dir: topology.InterCol,
-					Bytes: float64(cR) * float64(p.N) / float64(t.Cols) * bpe,
-					Steps: t.Cols - 1, Deps: lastGeMMs,
-				})
-			}
-		}
-	case gemm.RS:
-		// Stream A's AG_col; the RdS_row of C trails.
-		streamDir, streamRing = topology.InterCol, t.Cols
-		streamBytes = float64(aR*aC) * bpe
-		streamHBM = float64(aR * aC)
-		if t.Rows > 1 {
-			trailing = func(lastGeMMs []int) {
-				b.add(Op{
-					Kind: ReduceScatter, Name: "RdS_row C", Dir: topology.InterRow,
-					Bytes: float64(p.M) / float64(t.Rows) * float64(cC) * bpe,
-					Steps: t.Rows - 1, Deps: lastGeMMs,
-				})
-			}
-		}
-	default:
-		panic(fmt.Sprintf("sched: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive switch guard
+	var preDeps []int
+	if x := mats[1-circ]; x.moves() {
+		preDeps = append(preDeps, b.add(Op{
+			Kind: AllGather, Name: x.comm("AG", "", 0),
+			Dir: x.ax.Dir(), Bytes: x.elems() * bpe, Steps: x.ring - 1,
+		}))
 	}
 
-	// The streamRing shards of the streamed operand are consumed in iters
+	// The ring shards of the streamed operand are consumed in iters
 	// groups; the shift delivering group g precedes GeMM g, and the shift
 	// delivering group g+1 overlaps GeMM g (link and compute engine are
 	// independent resources, and shifts depend only on earlier shifts).
 	iters := unroll
-	if iters <= 0 || iters > streamRing {
-		iters = streamRing // one GeMM per arriving shard
+	if iters <= 0 || iters > ring {
+		iters = ring // one GeMM per arriving shard
 	}
+	out := mats[2]
+	flopsTotal := 2 * float64(out.rows) * float64(out.cols) * float64(p.K)
 	var prevShift []int
 	var gemms []int
 	consumed := 0
 	for g := 0; g < iters; g++ {
-		group := (g+1)*streamRing/iters - consumed // shards in this group
+		group := (g+1)*ring/iters - consumed // shards in this group
 		consumed += group
 		need := group
 		if g == 0 {
@@ -179,39 +121,30 @@ func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Progr
 		if need > 0 {
 			shift := b.add(Op{
 				Kind: Shift, Name: fmt.Sprintf("SendRecv g=%d", g),
-				Dir: streamDir, Bytes: streamBytes, Steps: need,
+				Dir: stream.ax.Dir(), Bytes: stream.elems() * bpe, Steps: need,
 				Deps: append([]int{}, prevShift...),
 			})
 			prevShift = []int{shift}
 			deps = append(deps, shift)
 		}
-		frac := float64(group) / float64(streamRing)
-		// Local GeMM dimensions of this group's partial product, for the
-		// tiled compute model.
-		var gm, gn, gk int
-		switch p.Dataflow {
-		case gemm.OS:
-			gm, gn = cR, cC
-			if streamingA {
-				gk = group * aC
-			} else {
-				gk = group * bR
-			}
-		case gemm.LS:
-			gm, gn, gk = aR, group*bR, aC
-		case gemm.RS:
-			gm, gn, gk = group*aC, bC, bR
-		}
+		frac := float64(group) / float64(ring)
+		m, n, k := p.PartialShape(t, group, ring)
 		gemms = append(gemms, b.add(Op{
 			Kind: Compute, Name: fmt.Sprintf("partial GeMM g=%d", g),
 			FLOPs: flopsTotal * frac,
-			M:     gm, N: gn, K: gk,
-			HBMBytes: gemmHBM(streamHBM*float64(group),
-				streamHBM*float64(group), float64(cR*cC)*frac, c),
+			M:     m, N: n, K: k,
+			HBMBytes: gemmHBM(stream.elems()*float64(group),
+				stream.elems()*float64(group), out.elems()*frac, c),
 			Deps: deps,
 		}))
 	}
-	trailing(gemms)
+	if out.moves() {
+		b.add(Op{
+			Kind: ReduceScatter, Name: out.comm("RdS", "", 0),
+			Dir: out.ax.Dir(), Bytes: out.loaded(float64(out.ring)) * bpe,
+			Steps: out.ring - 1, Deps: gemms,
+		})
+	}
 	return &Program{Torus: t, Ops: b.ops, Label: fmt.Sprintf("Wang-%v U=%d", p.Dataflow, iters)}
 }
 

@@ -146,6 +146,14 @@ func (cm *costModel) compose(comm1, comm2, compute, fS float64, overlapPrologue 
 // ring-of-Cols collectives ride InterCol links, ring-of-Rows collectives
 // InterRow links — and compute uses the roofline.
 //
+// This restates costmodel's formula rather than calling it, on purpose:
+// costmodel prices one chip calibration for both directions, and pricing
+// through costmodel.MeshSliceEval rebuilds an evaluator for every dataflow
+// of every FC layer of every scheduler step, which made fcStack about 3.5x
+// slower (Llama-3-70B on 8x8, 2-vCPU x86 host). Estimate.Total also groups
+// compute+tail, which would move report floats by one ULP.
+// TestFCGeMMMatchesCostModel holds the two to 1e-12 on healthy fabrics.
+//
 // lint:hotpath priced per FC layer per scheduler step; must not allocate
 func (cm *costModel) fcGeMM(m, k, n, fS float64) float64 {
 	pr, pc := cm.rows, cm.cols

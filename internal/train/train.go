@@ -189,13 +189,8 @@ func buildProgram(algo Algo, prob gemm.Problem, shape topology.Torus, chip hw.Ch
 	case WangAlgo:
 		return sched.WangProgram(prob, shape, chip, tunedUnroll(prob, shape, chip, opts)), true
 	case SUMMAAlgo:
-		iters := tunedUnroll(prob, shape, chip, opts)
-		if iters < lcmInt(shape.Rows, shape.Cols) {
-			// SUMMA panels need owners: round up to a common multiple.
-			iters = lcmInt(shape.Rows, shape.Cols)
-		} else {
-			iters = roundUpToMultiple(iters, lcmInt(shape.Rows, shape.Cols))
-		}
+		// SUMMA panels need owners: round up to a common multiple.
+		iters := roundUpToMultiple(tunedUnroll(prob, shape, chip, opts), gemm.DefaultSUMMAIterations(shape))
 		return sched.SUMMAProgram(prob, shape, chip, iters), true
 	case CannonAlgo:
 		os := gemm.Problem{M: prob.M, N: prob.N, K: prob.K, Dataflow: gemm.OS}
@@ -276,15 +271,6 @@ func squareOnly(shapes []topology.Torus) []topology.Torus {
 		}
 	}
 	return out
-}
-
-func lcmInt(a, b int) int { return a / gcdInt(a, b) * b }
-
-func gcdInt(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 func roundUpToMultiple(v, m int) int {
